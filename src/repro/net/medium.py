@@ -27,24 +27,28 @@ random streams are untouched).
 
 Two operating modes (``mode=``):
 
-* ``"culled"`` (default) — when a transmission starts, its received
-  power at every *relevant* listener (grid-indexed neighbourhood, see
+* ``"culled"`` (default) — each static source's received power at every
+  *relevant* listener (grid-indexed neighbourhood, see
   :meth:`~repro.net.topology.Topology.neighbors_of`, with contributions
-  below ``RadioSpec.interference_floor_dbm`` dropped) is computed once
-  and frozen in a per-transmission contribution map.  Carrier-sense
-  sums, interference accumulation, and carrier-state fan-out then cost
-  dict lookups over that local set instead of all-pairs log-distance
-  math — sub-linear per reception attempt once the deployment outgrows
-  the relevance radius.  With ``interference_floor_dbm = -inf`` the
-  relevant set is every node and the frozen values equal the fresh
-  ones for static topologies, making culled mode bit-for-bit identical
-  to the dense path.
-* ``"dense-exact"`` — today's all-pairs semantics, recomputing every
-  power from the topology at query time.  The equivalence oracle for
-  tests.  Pairs touching a *mobile* node are excluded from the frozen
-  maps and recomputed fresh at every query in culled mode too (mobiles
-  are few and always in the culled visit set), so the two modes agree
-  bit-for-bit even while nodes are moving.
+  below ``RadioSpec.interference_floor_dbm`` dropped) is computed once,
+  on the source's first transmission, and memoised as a frozen
+  ``{listener: mW}`` map that every later transmission of that source
+  shares.  A per-listener index holds, in activation order, the active
+  transmissions whose map reaches that listener.  Carrier-sense sums,
+  interference accumulation and carrier-state fan-out then visit only
+  those candidates instead of every transmission on the air.  A skipped
+  transmission would have added exactly ``0.0``, and the candidates are
+  summed in the same order as the full active list, so every sum is
+  bit-for-bit the one a full scan computes.  With
+  ``interference_floor_dbm = -inf`` the relevant set is every node,
+  making culled mode bit-for-bit identical to the dense path.
+* ``"dense-exact"`` — all-pairs semantics, recomputing every power from
+  the topology at query time.  The equivalence oracle for tests.  Pairs
+  touching a *mobile* node are excluded from the frozen maps and
+  recomputed fresh at every query in culled mode too: a mobile listener
+  takes every active transmission as a candidate, and mobile-source
+  transmissions join every listener's candidates by activation order.
+  The two modes therefore agree bit-for-bit even while nodes are moving.
 
 Per-node channels: ``set_channel`` assigns a node to a channel index;
 cross-channel power is attenuated ``adjacent_rejection_db`` per channel
@@ -54,7 +58,8 @@ which keeps single-BSS scenarios exactly on the legacy numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -66,6 +71,8 @@ __all__ = ["Transmission", "Medium", "MEDIUM_MODES"]
 
 MEDIUM_MODES = ("culled", "dense-exact")
 
+_SEQ = attrgetter("seq")
+
 
 class Transmission:
     """One frame (or interference burst) on the air."""
@@ -73,7 +80,7 @@ class Transmission:
     __slots__ = (
         "src", "dst", "kind", "rate_mbps", "duration_us", "payload_bits",
         "frame", "acks", "start_us", "end_us", "signal_dbm",
-        "interference_mw", "rx_busy", "contrib",
+        "interference_mw", "rx_busy", "contrib", "seq",
     )
 
     def __init__(
@@ -100,9 +107,10 @@ class Transmission:
         self.signal_dbm = 0.0
         self.interference_mw = 0.0
         self.rx_busy = False
-        #: Culled mode: {listener -> rx power mW}, frozen at TX start
-        #: (static pairs only — mobile pairs are recomputed per query).
+        #: Culled mode: {listener -> rx power mW}, the source's memoised
+        #: map (static pairs only — mobile pairs are recomputed per query).
         self.contrib: Optional[Dict[str, float]] = None
+        self.seq = 0  # activation sequence number, set by Medium.begin
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Transmission {self.kind} {self.src}->{self.dst} "
@@ -158,6 +166,17 @@ class Medium:
         self.channel: Dict[str, int] = {}
         self._tx_count: Dict[str, int] = {}  # node -> its in-flight count
         self._active: List[Transmission] = []
+        self._seq = 0
+        # Culled-mode structures (see the module docstring).
+        #: Static source -> its frozen {listener: mW} map, filled lazily.
+        self._memo: Dict[str, Dict[str, float]] = {}
+        #: Listener -> active static-source transmissions reaching it,
+        #: in activation order.
+        self._heard: Dict[str, List[Transmission]] = {}
+        #: Active mobile-source transmissions, in activation order.
+        self._moving: List[Transmission] = []
+        #: Destination -> its active addressed transmissions.
+        self._inbound: Dict[str, List[Transmission]] = {}
         #: Airtime by kind (data / control / ack / beacon / interference), µs.
         self.airtime_us: Dict[str, float] = {}
 
@@ -175,16 +194,21 @@ class Medium:
     def set_channel(self, name: str, ch: int) -> None:
         """Assign ``name`` to channel ``ch`` (roaming / BSS setup).
 
-        In culled mode every active transmission's frozen contribution
-        at this listener is recomputed under the new channel rejection,
-        then the listener's carrier state is re-evaluated — so a station
-        that roams to a quieter channel goes locally idle immediately.
+        In culled mode every active transmission's contribution at this
+        listener is recomputed under the new channel rejection (on a
+        private copy of its map: the memoised one stays untouched), the
+        listener's index entry is rebuilt, and its carrier state is
+        re-evaluated — so a station that roams to a quieter channel goes
+        locally idle immediately.  The change also drops the memo, since
+        it alters every map the node takes part in; channel changes are
+        rare (BSS setup, roams), and the memo refills lazily.
         """
         old = self.channel.get(name, 0)
         ch = int(ch)
         if ch == old:
             return
         self.channel[name] = ch
+        self._memo.clear()
         if not self._active:
             return
         if self._culled:
@@ -194,13 +218,27 @@ class Medium:
                     if tx.src == name or tx.src in self._mobile:
                         continue
                     p = self._rx_dbm(tx.src, name, self.scheduler.now_us)
-                    tx.contrib.pop(name, None)
+                    contrib = tx.contrib = dict(tx.contrib)
+                    contrib.pop(name, None)
                     if p >= floor:
-                        tx.contrib[name] = dbm_to_mw(p)
+                        contrib[name] = dbm_to_mw(p)
+                self._heard[name] = [
+                    tx for tx in self._active if name in tx.contrib
+                ]
             if name in self._macs:
                 self._update_carrier_states_for((name,))
         else:
             self._update_carrier_states()
+
+    def invalidate(self, name: str) -> None:
+        """Drop the memoised maps after ``name`` was re-pinned.
+
+        The companion of :meth:`Topology.invalidate`: a node that moved
+        changes every map it takes part in, so the memo is cleared and
+        refills lazily.  Transmissions already on the air keep the
+        powers frozen at their start.
+        """
+        self._memo.clear()
 
     def _rx_dbm(self, src: str, listener: str, t_us: float) -> float:
         """Channel-aware received power (adjacent-channel rejection)."""
@@ -228,12 +266,27 @@ class Medium:
             return dbm_to_mw(p) if p >= self._floor_dbm else 0.0
         return tx.contrib.get(listener, 0.0)
 
+    def _candidates(self, listener: str) -> Sequence[Transmission]:
+        """Active transmissions that can reach ``listener``, in activation order.
+
+        Every active transmission left out would contribute exactly
+        ``0.0`` at ``listener`` (a static pair absent from the frozen
+        map).  A mobile listener's candidates are all of them; mobile
+        sources join a static listener's indexed ones by sequence number.
+        """
+        if listener in self._mobile:
+            return self._active
+        heard = self._heard.get(listener, ())
+        if not self._moving:
+            return heard
+        return sorted([*heard, *self._moving], key=_SEQ)
+
     def sensed_power_mw(self, listener: str) -> float:
         """Aggregate power from every *other* active source at ``listener``."""
         total = 0.0
         if self._culled:
             now = self.scheduler.now_us
-            for tx in self._active:
+            for tx in self._candidates(listener):
                 if tx.src == listener:
                     continue
                 total += self._pair_mw(tx, listener, now)
@@ -256,26 +309,31 @@ class Medium:
     # Transmission lifecycle
     # ------------------------------------------------------------------
 
-    def _contribution(self, tx: Transmission, now: float) -> Dict[str, float]:
-        """Frozen {listener -> mW} map of ``tx`` over its relevant set.
+    def _contribution(self, src: str, now: float) -> Dict[str, float]:
+        """Frozen {listener -> mW} map of ``src`` over its relevant set.
 
+        Memoised per static source: a static pair's power never changes
+        until :meth:`set_channel` or :meth:`invalidate` drops the memo.
         Mobile endpoints are excluded (see :meth:`_pair_mw`): a mobile
         source freezes nothing, and mobile listeners are left out of a
         static source's map.
         """
-        contrib: Dict[str, float] = {}
-        if tx.src in self._mobile:
+        if src in self._mobile:
+            return {}
+        contrib = self._memo.get(src)
+        if contrib is not None:
             return contrib
+        contrib = self._memo[src] = {}
         floor = self._floor_dbm
         macs = self._macs
         mobile = self._mobile
         for name in self.topology.neighbors_of(
-            tx.src, self.topology.relevance_range_m, now
+            src, self.topology.relevance_range_m, now
         ):
-            if (name == tx.src or name not in macs or name in contrib
+            if (name == src or name not in macs or name in contrib
                     or name in mobile):
                 continue
-            p = self._rx_dbm(tx.src, name, now)
+            p = self._rx_dbm(src, name, now)
             if p >= floor:
                 contrib[name] = dbm_to_mw(p)
         return contrib
@@ -285,34 +343,15 @@ class Medium:
         now = self.scheduler.now_us
         tx.start_us = now
         tx.end_us = now + tx.duration_us
-
-        culled = self._culled
-        if culled:
-            contrib = tx.contrib = self._contribution(tx, now)
-
-        # Cross-couple with everything already on the air.
-        for other in self._active:
-            if other.dst is not None:
-                if tx.src == other.dst:
-                    other.rx_busy = True  # other's receiver just keyed up
-                elif culled:
-                    other.interference_mw += self._pair_mw(tx, other.dst, now)
-                else:
-                    other.interference_mw += dbm_to_mw(
-                        self._rx_dbm(tx.src, other.dst, now)
-                    )
         if tx.dst is not None:
             tx.signal_dbm = self._rx_dbm(tx.src, tx.dst, now)
-            for other in self._active:
-                if other.src == tx.dst:
-                    tx.rx_busy = True  # destination is mid-transmission
-                elif culled:
-                    tx.interference_mw += self._pair_mw(other, tx.dst, now)
-                else:
-                    tx.interference_mw += dbm_to_mw(
-                        self._rx_dbm(other.src, tx.dst, now)
-                    )
+        if self._culled:
+            self._couple_culled(tx, now)
+        else:
+            self._couple_dense(tx, now)
 
+        tx.seq = self._seq
+        self._seq += 1
         self._active.append(tx)
         self._tx_count[tx.src] = self._tx_count.get(tx.src, 0) + 1
         self.airtime_us[tx.kind] = self.airtime_us.get(tx.kind, 0.0) + tx.duration_us
@@ -321,14 +360,87 @@ class Medium:
         # Ends fire before same-instant starts (priority -1) so a frame
         # beginning exactly as another ends is not counted as overlap.
         self.scheduler.at(tx.end_us, self._end, tx, priority=-1)
-        if culled:
+        if self._culled:
             self._update_carrier_states_for(self._fanout_listeners(tx))
         else:
             self._update_carrier_states()
 
+    def _couple_dense(self, tx: Transmission, now: float) -> None:
+        """Cross-couple ``tx`` with everything already on the air."""
+        for other in self._active:
+            if other.dst is not None:
+                if tx.src == other.dst:
+                    other.rx_busy = True  # other's receiver just keyed up
+                else:
+                    other.interference_mw += dbm_to_mw(
+                        self._rx_dbm(tx.src, other.dst, now)
+                    )
+        if tx.dst is not None:
+            for other in self._active:
+                if other.src == tx.dst:
+                    tx.rx_busy = True  # destination is mid-transmission
+                else:
+                    tx.interference_mw += dbm_to_mw(
+                        self._rx_dbm(other.src, tx.dst, now)
+                    )
+
+    def _couple_culled(self, tx: Transmission, now: float) -> None:
+        """Cross-couple ``tx`` with the transmissions it can reach, then index it.
+
+        Each accumulator receives the same :meth:`_pair_mw` terms, in the
+        same order, as a scan of every active transmission would give
+        it, minus exact zeros: ``tx``'s interference sums its
+        destination's candidates in activation order, and each in-flight
+        reception whose destination ``tx`` reaches gains one term.
+        """
+        src = tx.src
+        dst = tx.dst
+        mobile = self._mobile
+        inbound = self._inbound
+        if dst is not None:
+            if self._tx_count.get(dst, 0):
+                tx.rx_busy = True  # destination is mid-transmission
+            for other in self._candidates(dst):
+                if other.src != dst:
+                    tx.interference_mw += self._pair_mw(other, dst, now)
+        for other in inbound.get(src, ()):
+            other.rx_busy = True  # other's receiver just keyed up
+
+        contrib = tx.contrib = self._contribution(src, now)
+        if src in mobile:
+            self._moving.append(tx)
+            reached = [d for d in inbound if d != src]
+        else:
+            heard = self._heard
+            for name, mw in contrib.items():
+                listeners = heard.get(name)
+                if listeners is None:
+                    heard[name] = [tx]
+                else:
+                    listeners.append(tx)
+                for other in inbound.get(name, ()):
+                    other.interference_mw += mw
+            reached = [m for m in mobile if m in inbound]
+        for name in reached:
+            for other in inbound[name]:
+                other.interference_mw += self._pair_mw(tx, name, now)
+        if dst is not None:
+            inbound.setdefault(dst, []).append(tx)
+
     def _end(self, tx: Transmission) -> None:
         self._active.remove(tx)
         self._tx_count[tx.src] -= 1
+        if self._culled:
+            heard = self._heard
+            for name in tx.contrib:
+                heard[name].remove(tx)
+            if tx.src in self._mobile:
+                self._moving.remove(tx)
+            if tx.dst is not None:
+                others = self._inbound[tx.dst]
+                others.remove(tx)
+                if not others:
+                    del self._inbound[tx.dst]
 
         ok, sinr, reason = False, float("-inf"), "not_addressed"
         if tx.dst is not None:

@@ -432,6 +432,7 @@ class NetSimulator:
 
     def _pin_node(self, name: str) -> None:
         self.topology.invalidate(name, self.scheduler.now_us)
+        self.medium.invalidate(name)
 
     def _interferer_tick(self, spec: InterfererSpec) -> None:
         if float(self.rng.random()) < spec.probability:

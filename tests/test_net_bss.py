@@ -33,7 +33,10 @@ from repro.net import (
     builtin_scenario,
     run_scenario,
 )
+from repro.net.medium import Medium, Transmission
 from repro.net.scenario import NodeSpec
+from repro.net.scheduler import EventScheduler
+from repro.net.sinr import ReceptionModel
 from repro.net.traffic import arrival_times, mean_rate_pps
 from repro.net.topology import Topology, Waypoint
 
@@ -170,11 +173,17 @@ def _with_floor(spec, floor_dbm):
                                         interference_floor_dbm=floor_dbm))
 
 
+_EQUIVALENCE_SPECS = {
+    "hidden-node": dict(n_packets=40, duration_us=60_000.0),
+    "contention": dict(n_packets=40, duration_us=60_000.0),
+    "enterprise-grid": dict(n_aps=4, stations_per_ap=6, duration_us=50_000.0),
+}
+
+
 class TestMediumEquivalence:
-    @pytest.mark.parametrize("scenario", ["hidden-node", "contention"])
+    @pytest.mark.parametrize("scenario", list(_EQUIVALENCE_SPECS))
     def test_culled_at_inf_floor_is_bit_identical(self, scenario):
-        spec = builtin_scenario(scenario, n_packets=40,
-                                duration_us=60_000.0)
+        spec = builtin_scenario(scenario, **_EQUIVALENCE_SPECS[scenario])
         spec = _with_floor(spec, float("-inf"))
         culled = run_scenario(spec.with_medium("culled"), rng=11)
         dense = run_scenario(spec.with_medium("dense-exact"), rng=11)
@@ -210,6 +219,113 @@ class TestMediumEquivalence:
         # power is dropped from carrier sense), but not structurally.
         assert abs(culled.n_events - dense.n_events) <= \
             0.01 * dense.n_events + 1
+
+
+class _OracleMedium(Medium):
+    """Checks each indexed sum against a scan of the whole active list.
+
+    Every ``sensed_power_mw`` result, and every interference term and
+    busy flag the culled coupling writes in ``begin``, must equal (``==``,
+    bit for bit) what summing ``_pair_mw`` over all of ``_active`` in
+    activation order gives.
+    """
+
+    n_checked = 0
+
+    def sensed_power_mw(self, listener):
+        got = super().sensed_power_mw(listener)
+        now = self.scheduler.now_us
+        want = 0.0
+        for tx in self._active:
+            if tx.src != listener:
+                want += self._pair_mw(tx, listener, now)
+        assert got == want, (listener, got, want)
+        _OracleMedium.n_checked += 1
+        return got
+
+    def _couple_culled(self, tx, now):
+        before = [(o, o.interference_mw, o.rx_busy) for o in self._active]
+        super()._couple_culled(tx, now)
+        for other, mw, busy in before:
+            if other.dst is None:
+                assert other.interference_mw == mw
+            elif other.dst == tx.src:
+                assert other.rx_busy and other.interference_mw == mw
+            else:
+                assert other.rx_busy == busy
+                assert other.interference_mw == \
+                    mw + self._pair_mw(tx, other.dst, now)
+        if tx.dst is not None:
+            want, busy = 0.0, False
+            for other in self._active:
+                if other.src == tx.dst:
+                    busy = True
+                else:
+                    want += self._pair_mw(other, tx.dst, now)
+            assert tx.interference_mw == want
+            assert tx.rx_busy == busy
+        _OracleMedium.n_checked += 1
+
+
+class _SilentMac:
+    """Just enough MAC for a medium whose scheduler never runs."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def on_channel_state(self, busy):
+        pass
+
+
+def _bare_medium(cls, positions, mode):
+    medium = cls(Topology(positions), EventScheduler(), ReceptionModel(),
+                 np.random.default_rng(0), mode=mode)
+    for name in positions:
+        medium.register(_SilentMac(name))
+    return medium
+
+
+class TestListenerIndexOracle:
+    """The culled medium's indexed sums equal full scans, call by call."""
+
+    @pytest.mark.parametrize("scenario, kwargs", [
+        ("enterprise-grid", dict(n_aps=4, duration_us=50_000.0)),
+        ("campus-roaming", dict()),
+    ])
+    def test_indexed_sums_equal_full_scan(self, monkeypatch, scenario,
+                                          kwargs):
+        monkeypatch.setattr("repro.net.simulator.Medium", _OracleMedium)
+        monkeypatch.setattr(_OracleMedium, "n_checked", 0)
+        result = run_scenario(builtin_scenario(scenario, **kwargs), rng=3)
+        assert _OracleMedium.n_checked > 1000
+        assert result.n_events > 0
+        if scenario == "campus-roaming":
+            assert result.n_roams > 0  # mid-run set_channel was exercised
+
+    def test_set_channel_mid_frame_copies_the_memoised_map(self):
+        positions = {"a": (0.0, 0.0), "b": (10.0, 0.0), "c": (20.0, 0.0)}
+        culled = _bare_medium(_OracleMedium, positions, "culled")
+        dense = _bare_medium(Medium, positions, "dense-exact")
+        for medium in (culled, dense):
+            medium.begin(Transmission("a", "b", "data", 24, 100.0))
+        first = culled._active[0]
+        memo = culled._memo["a"]
+        assert first.contrib is memo
+        for medium in (culled, dense):
+            medium.set_channel("c", 1)
+        # The frame in flight gets a private, re-derived copy; the memo
+        # is dropped so the next frame from "a" re-derives it too.
+        assert first.contrib is not memo and "a" not in culled._memo
+        assert first.contrib["c"] < memo["c"]
+        for medium in (culled, dense):
+            medium.begin(Transmission("c", "b", "data", 24, 100.0))
+        for name in positions:
+            assert culled.sensed_power_mw(name) == dense.sensed_power_mw(name)
+        for got, want in zip(culled._active, dense._active):
+            assert got.interference_mw == want.interference_mw
+            assert got.rx_busy == want.rx_busy
+        culled.invalidate("c")
+        assert not culled._memo
 
 
 # ---------------------------------------------------------------------------
