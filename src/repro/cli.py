@@ -345,7 +345,7 @@ def _cmd_info() -> int:
     from repro.channel.multipath import POSITION_PROFILES
     from repro.experiments.common import print_table
     from repro.phy.params import RATE_TABLE
-    from repro.rateadapt import DEFAULT_THRESHOLDS
+    from repro.ratectl import DEFAULT_THRESHOLDS
 
     print_table(
         ["Mbps", "modulation", "code rate", "bits/sym", "min SNR dB", "Rm low", "Rm high"],

@@ -67,6 +67,12 @@ def ltf_frequency_symbol() -> np.ndarray:
     return grid
 
 
+# The estimators divide by the known LTF on its 52 used bins; built once,
+# since every received packet needs it.
+_LTF_KNOWN = ltf_frequency_symbol()
+_LTF_USED = _LTF_KNOWN != 0
+
+
 def stf_frequency_symbol() -> np.ndarray:
     """The known STF values on FFT bins 0..63."""
     grid = np.zeros(N_FFT, dtype=np.complex128)
@@ -85,30 +91,14 @@ def generate_preamble() -> np.ndarray:
     return np.concatenate([stf, gi2, ltf_time, ltf_time])
 
 
-def _ltf_ffts(preamble_samples: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    ltf_start = STF_SAMPLES + 32
-    first = preamble_samples[ltf_start : ltf_start + N_FFT]
-    second = preamble_samples[ltf_start + N_FFT : ltf_start + 2 * N_FFT]
-    return (
-        np.fft.fft(first) / TIME_SCALE,
-        np.fft.fft(second) / TIME_SCALE,
-    )
-
-
 def estimate_channel(preamble_samples: np.ndarray) -> np.ndarray:
     """Least-squares channel estimate from the two LTF repetitions.
 
     Returns ``H`` on all 64 FFT bins; guard bins (where the LTF is zero)
-    are returned as 0 and must not be used.
+    are returned as 0 and must not be used.  This is
+    :func:`estimate_channel_batch` at ``B = 1``.
     """
-    if preamble_samples.size < PREAMBLE_SAMPLES:
-        raise ValueError("preamble slice too short")
-    fft1, fft2 = _ltf_ffts(preamble_samples)
-    known = ltf_frequency_symbol()
-    h = np.zeros(N_FFT, dtype=np.complex128)
-    used = known != 0
-    h[used] = 0.5 * (fft1[used] + fft2[used]) / known[used]
-    return h
+    return estimate_channel_batch(np.asarray(preamble_samples)[None, :])[0]
 
 
 def _ltf_ffts_batch(preambles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -124,9 +114,8 @@ def _ltf_ffts_batch(preambles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def estimate_channel_batch(preambles: np.ndarray) -> np.ndarray:
     """:func:`estimate_channel` over a ``(B, n_samples)`` stack.
 
-    Row ``i`` equals ``estimate_channel(preambles[i])`` bit-for-bit: the
-    row FFT and the per-bin arithmetic are elementwise per packet, so
-    batching changes no rounding.
+    The row FFT and the per-bin arithmetic are elementwise per packet, so
+    a row's estimate does not depend on the batch it arrives in.
     """
     preambles = np.asarray(preambles, dtype=np.complex128)
     if preambles.ndim != 2:
@@ -134,10 +123,9 @@ def estimate_channel_batch(preambles: np.ndarray) -> np.ndarray:
     if preambles.shape[1] < PREAMBLE_SAMPLES:
         raise ValueError("preamble slice too short")
     fft1, fft2 = _ltf_ffts_batch(preambles)
-    known = ltf_frequency_symbol()
-    used = known != 0
+    used = _LTF_USED
     h = np.zeros((preambles.shape[0], N_FFT), dtype=np.complex128)
-    h[:, used] = 0.5 * (fft1[:, used] + fft2[:, used]) / known[used]
+    h[:, used] = 0.5 * (fft1[:, used] + fft2[:, used]) / _LTF_KNOWN[used]
     return h
 
 
@@ -147,30 +135,27 @@ def estimate_noise_from_ltf(preamble_samples: np.ndarray) -> float:
     The two long symbols carry identical signal, so their per-bin difference
     is pure noise with variance 2 * sigma^2; averaging over the 52 used bins
     gives a robust floor estimate that seeds the CoS energy detector.
+    This is :func:`estimate_noise_from_ltf_batch` at ``B = 1``.
     """
-    fft1, fft2 = _ltf_ffts(preamble_samples)
-    used = ltf_frequency_symbol() != 0
-    diff = fft1[used] - fft2[used]
-    return float(np.mean(np.abs(diff) ** 2) / 2.0)
+    preambles = np.asarray(preamble_samples)[None, :]
+    return float(estimate_noise_from_ltf_batch(preambles)[0])
 
 
 def estimate_noise_from_ltf_batch(preambles: np.ndarray) -> np.ndarray:
     """:func:`estimate_noise_from_ltf` over a ``(B, n_samples)`` stack.
 
-    Returns a ``(B,)`` float64 vector; entry ``i`` equals the scalar
-    estimator on row ``i`` bit-for-bit (the mean reduces each row
-    independently).
+    Returns a ``(B,)`` float64 vector, one estimate per row.
     """
     preambles = np.asarray(preambles, dtype=np.complex128)
     if preambles.ndim != 2:
         raise ValueError("expected a (B, n_samples) preamble stack")
     fft1, fft2 = _ltf_ffts_batch(preambles)
-    used = ltf_frequency_symbol() != 0
-    energy = np.abs(fft1[:, used] - fft2[:, used]) ** 2
+    energy = np.abs(fft1[:, _LTF_USED] - fft2[:, _LTF_USED]) ** 2
     # The mean must reduce one row at a time: numpy's axis-1 reduction may
-    # split its pairwise summation differently than the 1-D reduction the
-    # scalar estimator uses, which moves the result by an ulp.  A row of a
-    # C-contiguous matrix reduces exactly like the standalone vector.
+    # split its pairwise summation differently with the stack's shape,
+    # which would move a packet's estimate by an ulp depending on its
+    # batch.  A row of a C-contiguous matrix reduces exactly like the
+    # standalone vector.
     return np.array([float(np.mean(row)) for row in energy]) / 2.0
 
 

@@ -23,8 +23,7 @@ Scenarios choose a controller via ``ScenarioSpec(controller=...)``, the
 CLI via ``repro net run --controller`` and ``repro net compare``.
 
 :mod:`repro.ratectl.staircase` holds the SNR-threshold measurement core
-(formerly ``repro.rateadapt.snr_rate_adaptation``, which now re-exports
-from here with a ``DeprecationWarning``).
+(the paper's staircase, :class:`RateAdapter`), re-exported here.
 """
 
 from repro.ratectl.base import (

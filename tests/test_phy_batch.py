@@ -32,6 +32,7 @@ from repro.phy.preamble import (
     estimate_channel_batch,
     estimate_noise_from_ltf,
     estimate_noise_from_ltf_batch,
+    synchronize,
 )
 from repro.phy.receiver import _as_waveform_batch
 from repro.phy.surrogate import (
@@ -132,6 +133,33 @@ def test_receive_many_batch_of_one():
     single = rx.receive(waves[0])
     (batched,) = rx.receive_many(waves)
     _assert_results_identical(single, batched, ("batch1",))
+
+
+def test_receive_many_unknown_timing_mixed_offsets():
+    """Matched-filter sync on a batch whose rows start at different
+    offsets: each row is gathered from its own start and still equals
+    its own ``receive`` bit for bit (two rows share an offset, so one
+    gathered stack holds more than one packet).  The reference is the
+    known-timing receiver on the row sliced at its sync point."""
+    rx = Receiver(known_timing=False)
+    aligned_rx = Receiver(known_timing=True)
+    offsets = (0, 17, 40, 17)
+    waves, _ = _make_batch(24, snr_db=20.0, n_pkts=len(offsets), seed=5)
+    rng = np.random.default_rng(5)
+    n_total = waves[0].size + max(offsets)
+    rows = []
+    for wave, offset in zip(waves, offsets):
+        noise = 1e-3 * (rng.standard_normal(n_total)
+                        + 1j * rng.standard_normal(n_total))
+        noise[offset : offset + wave.size] += wave
+        rows.append(noise)
+    batched = rx.receive_many(np.stack(rows))
+    for i, (row, b) in enumerate(zip(rows, batched)):
+        single = rx.receive(row)
+        assert single.ok and b.ok, i
+        _assert_results_identical(single, b, ("offsets", i))
+        sliced = aligned_rx.receive(row[synchronize(row):])
+        _assert_results_identical(sliced, b, ("sliced", i))
 
 
 def test_observe_many_matches_observe():

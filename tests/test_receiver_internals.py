@@ -1,11 +1,29 @@
 """Tests for receiver-internal estimators (phase, noise, validation)."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.channel import IndoorChannel, add_awgn
 from repro.phy import RATE_TABLE, Receiver, Transmitter, build_mpdu
 from repro.phy.ofdm import map_to_grid
+
+
+def _pilot_phase(grid, h_est, symbol_offset):
+    """The batched pilot tracker at B = 1, unwrapped to one packet."""
+    phase, residuals = Receiver._pilot_phase_batch(
+        grid[None], h_est[None], symbol_offset
+    )
+    return phase[0], residuals[0]
+
+
+def _refine_noise(noise_ltf, residuals):
+    """The batched noise refinement at B = 1, unwrapped to one packet."""
+    refined = Receiver._refine_noise_batch(
+        np.array([noise_ltf]), np.asarray(residuals)[None]
+    )
+    return float(refined[0])
 
 
 class TestPilotPhaseTracking:
@@ -15,14 +33,14 @@ class TestPilotPhaseTracking:
             / np.sqrt(2)
         )
         h_est = np.ones(64, dtype=complex)
-        phase, residuals = Receiver._pilot_phase(grid, h_est, symbol_offset=0)
+        phase, residuals = _pilot_phase(grid, h_est, symbol_offset=0)
         assert np.allclose(phase, 0.0, atol=1e-9)
         assert np.allclose(residuals, 0.0, atol=1e-9)
 
     def test_recovers_common_phase(self, rng):
         grid = map_to_grid(np.zeros((3, 48), dtype=complex), symbol_offset=2)
         rotated = grid * np.exp(1j * 0.3)
-        phase, _ = Receiver._pilot_phase(rotated, np.ones(64, dtype=complex), 2)
+        phase, _ = _pilot_phase(rotated, np.ones(64, dtype=complex), 2)
         assert np.allclose(phase, 0.3, atol=1e-9)
 
     def test_residuals_reflect_noise(self, rng):
@@ -31,18 +49,18 @@ class TestPilotPhaseTracking:
         noisy = grid + np.sqrt(noise_var / 2) * (
             rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         )
-        _, residuals = Receiver._pilot_phase(noisy, np.ones(64, dtype=complex), 0)
+        _, residuals = _pilot_phase(noisy, np.ones(64, dtype=complex), 0)
         measured = np.mean(np.abs(residuals) ** 2)
         assert measured == pytest.approx(noise_var, rel=0.15)
 
 
 class TestNoiseRefinement:
     def test_empty_residuals_keep_ltf(self):
-        assert Receiver._refine_noise(0.05, np.zeros(0)) == 0.05
+        assert _refine_noise(0.05, np.zeros(0)) == 0.05
 
     def test_blend(self):
         residuals = np.full(100, 0.2 + 0.0j)  # power 0.04
-        refined = Receiver._refine_noise(0.02, residuals)
+        refined = _refine_noise(0.02, residuals)
         assert refined == pytest.approx(0.5 * (0.02 + 0.04))
 
 
@@ -50,6 +68,24 @@ class TestReceiverValidation:
     def test_invalid_decision_mode(self):
         with pytest.raises(ValueError):
             Receiver(decision="fuzzy")
+
+    @pytest.mark.parametrize(
+        "shape_of",
+        [lambda w: w[:, None], lambda w: np.stack([w, w]), lambda w: w[None, :]],
+        ids=["column", "stacked", "row"],
+    )
+    def test_non_1d_samples_rejected_loudly(self, psdu, shape_of):
+        """A batch or column vector handed to the single-packet API is a
+        caller error; it must name the received shape, not surface as a
+        numpy broadcast failure deep inside the chain."""
+        wave = Transmitter().transmit(psdu, RATE_TABLE[24]).waveform
+        bad = shape_of(wave)
+        for rx in (Receiver(), Receiver(known_timing=False)):
+            named = r"1-D.*" + re.escape(str(bad.shape))
+            with pytest.raises(ValueError, match=named):
+                rx.receive(bad)
+            with pytest.raises(ValueError, match=named):
+                rx.observe(bad)
 
     def test_noise_var_estimate_tracks_truth(self, psdu):
         """End-to-end: the pilot-aided estimate lands near the injected
