@@ -2,40 +2,33 @@
 
 The simulator's per-packet cost is dominated by a handful of tight inner
 loops: the Viterbi add-compare-select recursion, constellation (de)mapping,
-the data scrambler, and silence energy detection.  This package collects
-those loops into *kernels* behind a small dispatch layer so they can be
-served by different backends without the callers caring:
+deinterleaving, the data scrambler, and silence energy detection.  This
+package collects those loops into *kernels* behind a small dispatch layer.
+Only the Viterbi recursion has two implementations, picked from what the
+machine can do:
 
-``numpy``
-    The default pure-NumPy backend.  Its Viterbi uses a *blocked* ACS: k
-    trellis steps are fused into one super-step whose 2^k branch metrics
-    for **all** steps are produced by a single BLAS matmul against a
-    precomputed sign matrix, cutting the Python-level loop count by k×.
-``numba``
-    Optional JIT backend (``pip install repro[speed]``), auto-detected at
-    import time and silently skipped when numba is absent.  Runs the
-    scalar ACS loop in machine code; fastest when available.
 ``cext``
-    Optional C backend: the same scalar ACS embedded as C source and
-    compiled on demand with whatever system compiler exists
-    (``cc``/``gcc``/``clang``), cached per machine, loaded via ctypes.
-    Registered only when a compiler is on PATH; a failed build falls
-    back to ``numpy`` with a one-time warning.
-``reference``
-    The legacy step-by-step NumPy implementation, kept verbatim as the
-    semantics anchor.  Every other backend must be bit-exact against it
-    (see :mod:`repro.kernels.dispatch` for the exact-arithmetic contract).
+    The scalar ACS embedded as C source and compiled on demand with
+    whatever system compiler exists (``cc``/``gcc``/``clang``), cached
+    per machine, loaded via ctypes.  Registered only when a compiler is
+    on PATH, and resolved only once the build has succeeded.
+``numpy``
+    The pure-NumPy fallback for machines without a working compiler.
+    Its Viterbi uses a *blocked* ACS: k trellis steps are fused into one
+    super-step whose 2^k branch metrics come from a fixed-order fold of
+    the per-step pair metrics, cutting the Python-level loop count by k×.
 
-Backend selection: ``REPRO_KERNEL_BACKEND`` (``auto``/``numpy``/``numba``/
-``cext``/``reference``) or :func:`set_backend`; ``auto`` prefers numba,
-then cext, then numpy.  :func:`warmup` pre-builds tables and triggers
-JIT/C compilation — the trial engine calls it once per worker process.
+Backend selection: ``REPRO_KERNEL_BACKEND`` (``auto``/``cext``/``numpy``)
+or :func:`set_backend`; ``auto`` prefers ``cext``, then ``numpy``.
+:func:`warmup` pre-builds tables (and the C library) — the trial engine
+calls it once per worker process.
 
-All backends implement the same tie-breaking rule (prefer the lower branch
-index, later steps dominating), so on *exact-arithmetic* inputs — integer
--valued LLRs, hard decisions, erasures — their decoded bits are provably
-identical, ties included.  ``tests/test_kernels.py`` asserts this against a
-pure-Python scalar oracle across all eight 802.11a rates.
+Both backends implement the tie-breaking rule of the scalar oracles in
+:mod:`repro.kernels.oracle` (prefer the lower branch index, later steps
+dominating), so on *exact-arithmetic* inputs — integer-valued LLRs, hard
+decisions, erasures — their decoded bits are provably identical, ties
+included.  ``tests/test_kernels.py`` asserts this against the oracle
+across all eight 802.11a rates.
 """
 
 from repro.kernels.dispatch import (

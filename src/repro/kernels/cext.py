@@ -9,13 +9,14 @@ is needed (``cc``/``gcc``/``clang``, whichever exists), caches the
 artifact under a content-hashed name in the per-user temp directory, and
 loads it with :mod:`ctypes`.  No toolchain, no build step, no new
 dependency: machines without a C compiler simply don't register the
-backend, and a failed build falls back to the blocked NumPy kernel with
-a one-time warning.
+backend, and the dispatcher resolves to ``cext`` only once
+:func:`ensure_built` has succeeded — a failed build resolves to the
+blocked NumPy kernel with a one-time warning.
 
-Semantics are identical to every other backend (same pair-metric signs,
-same ``c1 > c0`` tie rule, same lowest-state preference for the
-unterminated start) — the equivalence suite decodes through this backend
-against the scalar oracle like all the others.
+Semantics are those of the scalar oracle (same pair-metric signs, same
+``c1 > c0`` tie rule, same lowest-state preference for the unterminated
+start) — the equivalence suite decodes through this backend against the
+oracle like the NumPy one.
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ _COMPILERS = ("cc", "gcc", "clang")
 _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _build_failed = False
-_warned_fallback = False
 
 
 def _find_compiler() -> Optional[str]:
@@ -219,10 +219,9 @@ def _trellis_args():
 def decode_c(llrs: np.ndarray, terminated: bool = True) -> np.ndarray:
     """Decode one rate-1/2 LLR stream through the compiled kernel.
 
-    Falls back to the blocked NumPy kernel (with a one-time warning) when
-    the library cannot be built — callers never need to care.
+    Raises :class:`RuntimeError` when the library is not built; the
+    dispatcher never hands out this backend in that case.
     """
-    global _warned_fallback
     llrs = np.ascontiguousarray(llrs, dtype=np.float64)
     if llrs.size % 2 != 0:
         raise ValueError("LLR stream must contain whole (A, B) pairs")
@@ -230,14 +229,7 @@ def decode_c(llrs: np.ndarray, terminated: bool = True) -> np.ndarray:
     if n_steps == 0:
         return np.zeros(0, dtype=np.uint8)
     if not ensure_built():
-        if not _warned_fallback:
-            log.warning(
-                "cext kernel unavailable; falling back to the NumPy backend"
-            )
-            _warned_fallback = True
-        from repro.kernels.viterbi_numpy import decode_blocked
-
-        return decode_blocked(llrs, terminated)
+        raise RuntimeError("the cext Viterbi kernel could not be built")
     prev_state, branch_pair, input_bit = _trellis_args()
     decisions = np.empty(n_steps * N_STATES, dtype=np.uint8)
     bits = np.empty(n_steps, dtype=np.uint8)

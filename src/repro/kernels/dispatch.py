@@ -1,30 +1,32 @@
 """Backend dispatch for the compute kernels.
 
 A :class:`KernelBackend` bundles the Viterbi entry points (the only
-kernels whose implementation differs per backend today — demap, scramble
-and energy detection are already single-pass vectorized NumPy shared by
-all backends).  Resolution order:
+kernels whose implementation differs per backend — demap, scramble,
+deinterleave and energy detection are single-pass vectorized NumPy
+shared by both backends).  Resolution order:
 
 1. an explicit :func:`set_backend` / :func:`use_backend` override;
 2. the ``REPRO_KERNEL_BACKEND`` environment flag
-   (``auto`` | ``numpy`` | ``numba`` | ``cext`` | ``reference``);
-3. ``auto``: numba when importable, else the on-demand-compiled C
-   kernel (:mod:`repro.kernels.cext`) when a system C compiler exists,
-   else the blocked NumPy backend.
+   (``auto`` | ``cext`` | ``numpy``);
+3. ``auto``: the on-demand-compiled C kernel (:mod:`repro.kernels.cext`)
+   when it builds, else the blocked NumPy backend.
 
-Requesting ``numba`` or ``cext`` on a machine without the prerequisite
-logs a warning once and falls back to ``numpy`` — no hard dependency
+``cext`` resolves only once its library is built and loaded, so the
+reported backend name is always the one that decodes.  Requesting
+``cext`` on a machine without a compiler, or where the build fails,
+logs a warning once and resolves to ``numpy`` — no hard dependency
 anywhere.
 
-**Exactness contract.**  All backends implement identical decode
-semantics: the same branch-tie rule and the same exact-arithmetic metric
-recursion.  On inputs whose LLRs are exactly representable and whose
-partial sums stay integral (hard decisions, integer-scaled soft values,
-erasures — everything the equivalence suite feeds them), outputs are
-bit-for-bit equal across backends *including every tie*.  On generic
-float inputs the backends may round intermediate sums in different
-orders; decoded bits still agree except on exact metric coincidences,
-and CRC-verified golden-packet tests pin the behaviour end to end.
+**Exactness contract.**  Both backends implement the decode semantics of
+the scalar oracle (:mod:`repro.kernels.oracle`): the same branch-tie rule
+and the same exact-arithmetic metric recursion.  On inputs whose LLRs
+are exactly representable and whose partial sums stay integral (hard
+decisions, integer-scaled soft values, erasures — everything the
+equivalence suite feeds them), outputs are bit-for-bit equal to the
+oracle *including every tie*.  On generic float inputs the backends may
+round intermediate sums in different orders; decoded bits still agree
+except on exact metric coincidences, and CRC-verified golden-packet
+tests pin the behaviour end to end.
 """
 
 from __future__ import annotations
@@ -37,22 +39,16 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.kernels import cext, numba_backend
-from repro.kernels.interleave import (
-    deinterleave_rx_numba,
-    deinterleave_rx_numpy,
-    deinterleave_rx_oracle,
-    warmup_rx_gather,
-)
+from repro.kernels import cext
+from repro.kernels.interleave import deinterleave_rx_numpy, warmup_rx_gather
 from repro.kernels.scramble import prbs_sequence, prbs_state_table
 from repro.kernels.tables import block_tables
 from repro.kernels.viterbi_numpy import (
     DEFAULT_BLOCK,
     decode_blocked,
     decode_blocked_batch,
-    decode_reference,
 )
-from repro.utils.env import env_int, env_str
+from repro.utils.env import env_str
 
 __all__ = [
     "KernelBackend",
@@ -69,7 +65,6 @@ __all__ = [
 log = logging.getLogger("repro.kernels")
 
 ENV_FLAG = "REPRO_KERNEL_BACKEND"
-BLOCK_FLAG = "REPRO_VITERBI_BLOCK"
 
 
 @dataclass(frozen=True)
@@ -79,33 +74,14 @@ class KernelBackend:
     ``viterbi_decode(llrs, terminated)`` decodes a single rate-1/2 LLR
     stream; ``viterbi_decode_batch(llrs2d, terminated)`` an equal-length
     ``(B, 2n)`` batch in one call (the :func:`decode_many` helper groups
-    mixed lengths).  ``deinterleave_rx(values, n_cbps, n_bpsc, code_rate,
-    fill)`` applies the composed per-symbol deinterleave + depuncture
-    gather of :mod:`repro.kernels.interleave`.  ``prewarm()`` pays any
-    one-off cost (JIT compilation, table builds) outside the measured
-    path.
+    mixed lengths).  ``prewarm()`` pays the one-off table builds outside
+    the measured path (``cext`` is built before it can resolve).
     """
 
     name: str
     viterbi_decode: Callable[[np.ndarray, bool], np.ndarray]
     viterbi_decode_batch: Callable[[np.ndarray, bool], np.ndarray]
-    deinterleave_rx: Callable[..., np.ndarray]
     prewarm: Callable[[], None]
-
-
-def _viterbi_block() -> int:
-    block = env_int(BLOCK_FLAG, default=DEFAULT_BLOCK)
-    if not 1 <= block <= 8:
-        raise ValueError(f"{BLOCK_FLAG}={block} out of range 1..8")
-    return block
-
-
-def _numpy_decode(llrs: np.ndarray, terminated: bool = True) -> np.ndarray:
-    return decode_blocked(llrs, terminated, block=_viterbi_block())
-
-
-def _numpy_decode_batch(llrs2d: np.ndarray, terminated: bool = True) -> np.ndarray:
-    return decode_blocked_batch(llrs2d, terminated, block=_viterbi_block())
 
 
 def _batch_via_single(
@@ -121,9 +97,8 @@ def _batch_via_single(
     return batch
 
 
-def _numpy_prewarm() -> None:
-    block = _viterbi_block()
-    for k in range(1, block + 1):
+def _prewarm() -> None:
+    for k in range(1, DEFAULT_BLOCK + 1):
         block_tables(k)
     warmup_rx_gather()
     prbs_sequence(1)
@@ -136,92 +111,63 @@ def _numpy_prewarm() -> None:
         mod.prewarm()
 
 
-def _numba_prewarm() -> None:
-    _numpy_prewarm()
-    numba_backend.warmup()
-
-
 _REGISTRY: Dict[str, KernelBackend] = {
     "numpy": KernelBackend(
         name="numpy",
-        viterbi_decode=_numpy_decode,
-        viterbi_decode_batch=_numpy_decode_batch,
-        deinterleave_rx=deinterleave_rx_numpy,
-        prewarm=_numpy_prewarm,
-    ),
-    "reference": KernelBackend(
-        name="reference",
-        viterbi_decode=decode_reference,
-        viterbi_decode_batch=_batch_via_single(decode_reference),
-        deinterleave_rx=deinterleave_rx_oracle,
-        prewarm=_numpy_prewarm,
+        viterbi_decode=decode_blocked,
+        viterbi_decode_batch=decode_blocked_batch,
+        prewarm=_prewarm,
     ),
 }
-
-if numba_backend.HAVE_NUMBA:  # pragma: no cover — numba-only environments
-    _REGISTRY["numba"] = KernelBackend(
-        name="numba",
-        viterbi_decode=numba_backend.decode_jit,
-        viterbi_decode_batch=numba_backend.decode_batch_jit,
-        deinterleave_rx=deinterleave_rx_numba,
-        prewarm=_numba_prewarm,
-    )
-
-
-def _cext_prewarm() -> None:
-    _numpy_prewarm()
-    cext.ensure_built()
-
 
 if cext.compiler_available():
     _REGISTRY["cext"] = KernelBackend(
         name="cext",
         viterbi_decode=cext.decode_c,
         viterbi_decode_batch=_batch_via_single(cext.decode_c),
-        deinterleave_rx=deinterleave_rx_numpy,
-        prewarm=_cext_prewarm,
+        prewarm=_prewarm,
     )
 
 #: auto-resolution preference, best first.
-_AUTO_ORDER = ("numba", "cext", "numpy")
+_AUTO_ORDER = ("cext", "numpy")
 
 _lock = threading.Lock()
 _active: Optional[KernelBackend] = None
-_warned_missing: set = set()
+_warned_missing = False
 
 
 def available_backends() -> List[str]:
-    """Names of the backends importable in this process."""
+    """Names of the backends this machine can register (``cext`` needs a
+    compiler on PATH; whether it builds is checked on resolution)."""
     return sorted(_REGISTRY)
 
 
 def _resolve(name: Optional[str]) -> KernelBackend:
-    requested = (name or env_str(ENV_FLAG, "auto") or "auto").strip().lower()
-    if requested == "auto":
-        for candidate in _AUTO_ORDER:
-            if candidate in _REGISTRY:
-                return _REGISTRY[candidate]
-    if requested in ("numba", "cext") and requested not in _REGISTRY:
-        if requested not in _warned_missing:
-            hint = (
-                "pip install repro[speed]"
-                if requested == "numba"
-                else "install a C compiler"
-            )
-            log.warning(
-                "%s=%s requested but unavailable; "
-                "falling back to the NumPy backend (%s)",
-                ENV_FLAG, requested, hint,
-            )
-            _warned_missing.add(requested)
-        return _REGISTRY["numpy"]
-    try:
-        return _REGISTRY[requested]
-    except KeyError:
+    global _warned_missing
+    raw = name if name is not None else env_str(ENV_FLAG, "auto")
+    requested = (raw or "auto").strip().lower()
+    if requested not in ("auto",) + _AUTO_ORDER:
+        source = f" in {ENV_FLAG}" if name is None else ""
         raise ValueError(
-            f"unknown kernel backend {requested!r}; "
-            f"valid: auto, {', '.join(available_backends())}"
-        ) from None
+            f"unknown kernel backend {requested!r}{source}; "
+            f"valid: auto, {', '.join(_AUTO_ORDER)}"
+        )
+    if requested == "numpy":
+        return _REGISTRY["numpy"]
+    if "cext" in _REGISTRY and cext.ensure_built():
+        return _REGISTRY["cext"]
+    # Explicit ``cext`` without a compiler, or a compiler whose build
+    # failed: say why the NumPy kernel decodes instead.
+    if (requested == "cext" or "cext" in _REGISTRY) and not _warned_missing:
+        reason = (
+            "the C build failed" if "cext" in _REGISTRY
+            else "no C compiler on PATH"
+        )
+        log.warning(
+            "cext kernel unavailable (%s); using the NumPy backend", reason
+        )
+        _warned_missing = True
+    return _REGISTRY["numpy"]
 
 
 def get_backend() -> KernelBackend:
@@ -235,7 +181,7 @@ def get_backend() -> KernelBackend:
 
 
 def backend_name() -> str:
-    """Name of the active backend (``numpy``/``numba``/``cext``/``reference``)."""
+    """Name of the active backend (``cext`` or ``numpy``)."""
     return get_backend().name
 
 
@@ -259,10 +205,10 @@ def use_backend(name: str):
 
 
 def warmup() -> str:
-    """Pre-build tables / compile JIT for the active backend; returns its name.
+    """Pre-build tables for the active backend; returns its name.
 
-    Called once per trial-engine worker so JIT compilation and table
-    construction never land inside a measured trial.
+    Called once per trial-engine worker so table construction never
+    lands inside a measured trial.
     """
     backend = get_backend()
     backend.prewarm()
@@ -275,9 +221,10 @@ def decode_many(
     """Decode a batch of codewords (mixed lengths allowed) in one call.
 
     Codewords are grouped by length and each group handed to the active
-    backend's batch kernel, amortizing dispatch and (for numba) running
-    the whole group inside one compiled loop.  Result order matches input
-    order; a looped ``viterbi_decode`` is bit-for-bit identical.
+    backend's batch kernel, amortizing dispatch (the NumPy kernel runs
+    the whole group through one interpreted ACS loop).  Result order
+    matches input order; a looped ``viterbi_decode`` is bit-for-bit
+    identical.
     """
     backend = get_backend()
     arrays = [np.asarray(llrs, dtype=np.float64) for llrs in llrs_list]
@@ -307,11 +254,11 @@ def deinterleave_rx(
     code_rate,
     fill: float = 0.0,
 ) -> np.ndarray:
-    """Composed per-symbol deinterleave + depuncture on the active backend.
+    """Composed per-symbol deinterleave + depuncture, shared by both backends.
 
     ``values`` is ``(..., n_symbols * n_cbps)`` received metrics (any
     leading batch shape); the result is ``(..., n_symbols * 2 * n_dbps)``
-    with ``fill`` at every punctured position.  Pure element moves — every
-    backend is bit-for-bit identical, batched or row by row.
+    with ``fill`` at every punctured position.  Pure element moves —
+    bit-for-bit identical batched or row by row.
     """
-    return get_backend().deinterleave_rx(values, n_cbps, n_bpsc, code_rate, fill)
+    return deinterleave_rx_numpy(values, n_cbps, n_bpsc, code_rate, fill)

@@ -2,22 +2,29 @@
 
 These are deliberately naive transcriptions of the algorithms — one
 scalar operation per loop iteration, no NumPy vectorization — so they are
-independent of both the blocked NumPy kernels and the numba JIT.  The
-equivalence tests decode the same inputs through every backend *and*
-these oracles and require identical bits.
+independent of both the blocked NumPy kernels and the C kernel.  They are
+the only semantics anchor: the equivalence tests run the same inputs
+through every backend *and* these oracles and require identical bits.
 
 Slow by design; only tests and the CI equivalence job should import this.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
 
+from repro.kernels.interleave import _blocks, rx_gather_tables
 from repro.phy.trellis import N_STATES, shared_trellis
 
-__all__ = ["viterbi_decode_oracle", "scramble_oracle", "demap_hard_oracle"]
+__all__ = [
+    "viterbi_decode_oracle",
+    "deinterleave_rx_oracle",
+    "scramble_oracle",
+    "demap_hard_oracle",
+]
 
 _NEG_INF = -1e18
 
@@ -73,6 +80,29 @@ def viterbi_decode_oracle(llrs: Sequence[float], terminated: bool = True) -> np.
         bits[t] = input_bit[state]
         state = int(prev_state[state, decisions[t][state]])
     return bits
+
+
+def deinterleave_rx_oracle(
+    values: np.ndarray,
+    n_cbps: int,
+    n_bpsc: int,
+    code_rate: Fraction,
+    fill: float = 0.0,
+) -> np.ndarray:
+    """Per-symbol, per-bit loops over the cached gather/scatter tables."""
+    tables = rx_gather_tables(n_cbps, n_bpsc, code_rate)
+    blocks = _blocks(values, n_cbps)
+    lead = blocks.shape[:-2]
+    flat = blocks.reshape(-1, blocks.shape[-2], n_cbps)
+    out = np.full((flat.shape[0], flat.shape[1], tables.n_out), fill,
+                  dtype=np.float64)
+    for row in range(flat.shape[0]):
+        for sym in range(flat.shape[1]):
+            for i in range(n_cbps):
+                out[row, sym, int(tables.scatter[i])] = flat[
+                    row, sym, int(tables.gather[i])
+                ]
+    return out.reshape(lead + (-1,))
 
 
 def scramble_oracle(bits: Sequence[int], state: int) -> np.ndarray:

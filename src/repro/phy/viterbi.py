@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.kernels import dispatch as _kernels
 from repro.obs.trace import span
-from repro.phy.trellis import shared_trellis
 
 __all__ = ["ViterbiDecoder", "hard_bits_to_llrs"]
 
@@ -42,15 +41,14 @@ class ViterbiDecoder:
         final state is used.
 
     The actual add-compare-select recursion is served by the active
-    compute-kernel backend (:mod:`repro.kernels`): blocked NumPy by
-    default, numba JIT when installed, selectable via
-    ``REPRO_KERNEL_BACKEND``.  All backends share identical decode
+    compute-kernel backend (:mod:`repro.kernels`): the compiled C kernel
+    when it builds, blocked NumPy otherwise, selectable via
+    ``REPRO_KERNEL_BACKEND``.  Both share the scalar oracle's decode
     semantics (see the dispatch module's exactness contract).
     """
 
     def __init__(self, terminated: bool = True):
         self.terminated = terminated
-        self._trellis = shared_trellis()
 
     def decode(self, llrs: np.ndarray) -> np.ndarray:
         """Decode a rate-1/2 LLR stream (A0 B0 A1 B1 …) into info bits.
@@ -73,8 +71,8 @@ class ViterbiDecoder:
         """Decode a batch of codewords in one call (mixed lengths allowed).
 
         Bit-for-bit identical to looping :meth:`decode`; the batch entry
-        point amortizes dispatch overhead and lets the numba backend run
-        whole equal-length groups inside one compiled loop.
+        point amortizes dispatch overhead and lets the NumPy backend run
+        whole equal-length groups through one ACS loop.
 
         A single-codeword batch is routed through :meth:`decode` so the
         ``phy.viterbi`` span (with its ``n_steps``/``backend`` attributes)

@@ -22,10 +22,8 @@ import pytest
 
 from repro.channel import IndoorChannel
 from repro.engine import make_specs, run_batched_trials, run_trials
-from repro.kernels.interleave import (
-    deinterleave_rx_numpy,
-    deinterleave_rx_oracle,
-)
+from repro.kernels.interleave import deinterleave_rx_numpy
+from repro.kernels.oracle import deinterleave_rx_oracle
 from repro.phy import RATE_TABLE, Receiver, Transmitter, build_mpdu
 from repro.phy.preamble import (
     estimate_channel,
