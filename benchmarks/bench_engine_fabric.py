@@ -21,11 +21,6 @@ Two entry points:
      trial (store hits == entries present at kill time; zero
      recomputation).
 
-  The record also carries a service load test: p50/p95 submit-to-finish
-  job latency over a burst of jobs against the asyncio front-end
-  (:mod:`repro.engine.service`), read from the
-  ``repro_service_job_seconds`` histogram the service exports.
-
 Exits non-zero if any gate fails.
 """
 
@@ -208,59 +203,6 @@ def gate_kill_resume() -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# Service load test (recorded, not gated)
-# ---------------------------------------------------------------------------
-
-def service_load_test(n_jobs: int = 32, max_workers: int = 4) -> Dict:
-    from repro.engine.service import start_in_thread
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    handle = start_in_thread(max_workers=max_workers, registry=registry)
-    try:
-        import urllib.request
-
-        t0 = time.perf_counter()
-        job_ids = []
-        for i in range(n_jobs):
-            req = urllib.request.Request(
-                handle.url + "/jobs",
-                data=json.dumps({"kind": "noop",
-                                 "params": {"n": 8, "seed": i}}).encode(),
-                method="POST", headers={"Content-Type": "application/json"})
-            with urllib.request.urlopen(req, timeout=30) as resp:
-                job_ids.append(json.loads(resp.read())["job_id"])
-        deadline = time.monotonic() + 120.0
-        pending = set(job_ids)
-        while pending and time.monotonic() < deadline:
-            done = set()
-            for jid in pending:
-                with urllib.request.urlopen(handle.url + f"/jobs/{jid}",
-                                            timeout=30) as resp:
-                    if json.loads(resp.read())["state"] in ("done", "failed"):
-                        done.add(jid)
-            pending -= done
-            if pending:
-                time.sleep(0.01)
-        wall_s = time.perf_counter() - t0
-    finally:
-        handle.stop()
-
-    series = registry.snapshot()["repro_service_job_seconds"]["series"]
-    noop = next(e for e in series if e["labels"].get("kind") == "noop")
-    return {
-        "n_jobs": n_jobs,
-        "max_workers": max_workers,
-        "completed": int(noop["count"]),
-        "wall_s": wall_s,
-        "jobs_per_sec": n_jobs / wall_s,
-        "p50_latency_s": noop["p50"],
-        "p95_latency_s": noop["p95"],
-        "mean_latency_s": noop["sum"] / noop["count"],
-    }
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
@@ -279,17 +221,11 @@ def run(out_path: str, min_speedup: float) -> int:
                       f"{gate['recomputed']} recomputed")
         print(f"{status} {gate['name']:<15s} {detail}")
 
-    service = service_load_test()
-    print(f"service: {service['n_jobs']} jobs in {service['wall_s']:.2f}s — "
-          f"p50 {service['p50_latency_s'] * 1e3:.1f} ms, "
-          f"p95 {service['p95_latency_s'] * 1e3:.1f} ms")
-
     record = {
         "bench": "engine_fabric",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "gates": gates,
-        "service": service,
     }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)

@@ -58,11 +58,6 @@ Commands
     :class:`repro.engine.ShardedExecutor`; leases + heartbeats recover
     chunks from crashed workers and ``--drain`` exits once the queue is
     empty.
-``engine serve [--host H] [--port P]``
-    Run the sim-as-a-service HTTP front-end
-    (:mod:`repro.engine.service`): ``POST /jobs`` submits ``fig2`` /
-    ``net`` / ``noop`` jobs, ``GET /jobs/<id>[/result]`` polls and
-    fetches, ``GET /metrics`` exports Prometheus text.
 ``obs summarize trace.jsonl``
     Analyse a recorded trace offline: per-stage latency percentiles,
     exchange span coverage, the failure-cause breakdown, and — for
@@ -290,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_store_flags(report)
 
     eng = sub.add_parser(
-        "engine", help="sweep-fabric utilities (work-queue workers, service)"
+        "engine", help="sweep-fabric utilities (work-queue workers)"
     )
     eng_sub = eng.add_subparsers(dest="engine_command", required=True)
     worker = eng_sub.add_parser(
@@ -316,14 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 3)")
     worker.add_argument("--max-seconds", type=float, default=None, metavar="S",
                         help="exit after S seconds even if work remains")
-    serve = eng_sub.add_parser(
-        "serve", help="run the sim-as-a-service HTTP front-end"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8737,
-                       help="TCP port (0 = ephemeral; default: 8737)")
-    serve.add_argument("--max-workers", type=int, default=4, metavar="N",
-                       help="concurrent job threads (default: 4)")
     return parser
 
 
@@ -782,46 +769,23 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_engine(args) -> int:
-    log = logging.getLogger("repro.cli")
-
-    if args.engine_command == "worker":
-        from repro.engine.queue import worker_loop
-
-        try:
-            n = worker_loop(
-                args.queue,
-                worker_id=args.name,
-                poll_s=args.poll,
-                lease_s=args.lease,
-                max_attempts=args.max_attempts,
-                drain=args.drain,
-                max_seconds=args.max_seconds,
-            )
-        except KeyboardInterrupt:  # pragma: no cover — interactive stop
-            log.info("worker interrupted")
-            return 130
-        print(f"processed {n} chunk(s)")
-        return 0
-
-    # serve
-    import asyncio
-
-    from repro.engine.service import FabricService
-
-    service = FabricService(args.host, args.port, max_workers=args.max_workers)
-
-    async def _amain() -> None:
-        await service.start()
-        # Machine-readable line so tests/scripts can find an ephemeral port.
-        print(f"listening on {service.url}", flush=True)
-        await service.serve_forever()
+    # ``worker`` is the only engine subcommand.
+    from repro.engine.queue import worker_loop
 
     try:
-        asyncio.run(_amain())
+        n = worker_loop(
+            args.queue,
+            worker_id=args.name,
+            poll_s=args.poll,
+            lease_s=args.lease,
+            max_attempts=args.max_attempts,
+            drain=args.drain,
+            max_seconds=args.max_seconds,
+        )
     except KeyboardInterrupt:  # pragma: no cover — interactive stop
-        log.info("service interrupted")
-    finally:
-        service.close()
+        logging.getLogger("repro.cli").info("worker interrupted")
+        return 130
+    print(f"processed {n} chunk(s)")
     return 0
 
 

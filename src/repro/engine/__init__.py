@@ -33,8 +33,7 @@ Guarantees (see ``docs/engine.md`` for the full contract):
   only execute the delta;
 * **Scale-out** — :class:`ShardedExecutor` routes chunks through a
   filesystem claim queue (:mod:`repro.engine.queue`) served by local
-  and/or remote ``repro engine worker`` processes, and
-  :mod:`repro.engine.service` fronts the whole engine over HTTP.
+  and/or remote ``repro engine worker`` processes.
 """
 
 from repro.engine.core import (

@@ -388,10 +388,11 @@ def worker_loop(
     """Serve chunks from every job under ``root``; returns chunks done.
 
     ``drain=True`` exits once no claimable work remains (local fan-out
-    and CI); otherwise the worker keeps polling until ``max_seconds``
-    (service mode on a long-lived host).  Each worker process runs its
-    chunks against a fresh metrics registry, so results carry snapshot
-    deltas exactly as the process-pool executor's workers do.
+    and CI); otherwise the worker keeps polling for new jobs until
+    ``max_seconds`` (a long-lived worker on a shared host).  Each worker
+    process runs its chunks against a fresh metrics registry, so results
+    carry snapshot deltas exactly as the process-pool executor's workers
+    do.
     """
     from repro.engine.worker import worker_initializer
 

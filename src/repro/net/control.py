@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.mac.overhead import BASE_RATE_MBPS
 from repro.net.medium import Transmission
+from repro.net.scenario import COS_FIDELITIES
 from repro.net.sinr import cos_delivery_prob_for
 from repro.obs.metrics import get_registry
 from repro.ratectl import RateAdapter, RateController
@@ -113,7 +114,7 @@ class ControlPlane:
     ) -> None:
         if mode not in ("explicit", "cos"):
             raise ValueError(f"unknown control mode {mode!r}")
-        if cos_fidelity not in ("table", "phy", "surrogate"):
+        if cos_fidelity not in COS_FIDELITIES:
             raise ValueError(f"unknown cos_fidelity {cos_fidelity!r}")
         self.mode = mode
         self.rng = rng
@@ -245,12 +246,6 @@ class ControlPlane:
         self._generate_feedback(src=tx.dst, dst=tx.src,
                                 sinr_db=sinr_db, now=now)
 
-    def on_frame_acked(self, frame, now: float) -> None:
-        """Sender-side completion hook (currently only for accounting)."""
-        # Explicit control delivery is recorded at *reception*; the ACK
-        # merely stops the sender's retries.  Nothing to do today, but
-        # the hook keeps the MAC ignorant of control-plane policy.
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -381,9 +376,6 @@ class ControlRouter:
     def on_frame_undecoded(self, tx: Transmission, sinr_db: float,
                            now: float) -> None:
         self._plane_for(tx.src, tx.dst).on_frame_undecoded(tx, sinr_db, now)
-
-    def on_frame_acked(self, frame, now: float) -> None:
-        self._plane_for(frame.src, frame.dst).on_frame_acked(frame, now)
 
     def on_tx_result(self, frame, ok: bool, now: float) -> None:
         self._plane_for(frame.src, frame.dst).on_tx_result(frame, ok, now)

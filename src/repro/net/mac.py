@@ -292,7 +292,6 @@ class NodeMac:
         if self.lens is not None:
             self.lens.on_deliver(self.name, frame, now)
         self.control_plane.on_tx_result(frame, True, now)
-        self.control_plane.on_frame_acked(frame, now)
         self._maybe_contend()
 
     def _send_ack(self, data_tx: Transmission) -> None:

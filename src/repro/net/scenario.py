@@ -25,7 +25,12 @@ from repro.ratectl import CONTROLLERS, available_controllers
 #: tables (:class:`repro.net.sinr.SinrModel` over the committed table).
 ERROR_MODELS = ("sigmoid", "surrogate")
 
+#: How CoS message delivery is decided: the analytic operating-point
+#: table, live PHY runs, or the measured-PHY surrogate table.
+COS_FIDELITIES = ("table", "phy", "surrogate")
+
 __all__ = [
+    "COS_FIDELITIES",
     "ERROR_MODELS",
     "NodeSpec",
     "FlowSpec",
@@ -140,7 +145,7 @@ class ScenarioSpec:
     control_octets: int = 14
     data_rate_mbps: Optional[int] = None  # None = SINR-adaptive
     cos_delivery_prob: Optional[float] = None  # None = operating-point table
-    cos_fidelity: str = "table"  # "table" | "phy" | "surrogate"
+    cos_fidelity: str = "table"  # one of COS_FIDELITIES
     max_embed_per_frame: int = 4
     bsses: Tuple[BssSpec, ...] = ()
     traffic: Tuple[TrafficSpec, ...] = ()
@@ -228,6 +233,23 @@ class ScenarioSpec:
                 f"unknown error_model {self.error_model!r}; available: "
                 f"{', '.join(ERROR_MODELS)}"
             )
+        if self.cos_fidelity not in COS_FIDELITIES:
+            raise ValueError(
+                f"unknown cos_fidelity {self.cos_fidelity!r}; available: "
+                f"{', '.join(COS_FIDELITIES)}"
+            )
+        # ``not 0 <= p <= 1`` also rejects NaN.
+        if self.cos_delivery_prob is not None and not (
+            0.0 <= self.cos_delivery_prob <= 1.0
+        ):
+            raise ValueError(
+                f"cos_delivery_prob must be None or in [0, 1], got "
+                f"{self.cos_delivery_prob!r}"
+            )
+        if self.max_embed_per_frame < 1:
+            raise ValueError("max_embed_per_frame must be >= 1")
+        if self.control_octets < 1:
+            raise ValueError("control_octets must be >= 1")
 
     # ------------------------------------------------------------------
     # Derived objects

@@ -1,10 +1,9 @@
-"""Tests for the sweep fabric: work queue, ShardedExecutor, service.
+"""Tests for the sweep fabric: work queue and ShardedExecutor.
 
 Covers the claim protocol (leases, stealing, poisoning), bit-for-bit
 equality of sharded vs. serial sweeps, the ``repro engine worker`` CLI
-end-to-end against a live queue, resume-after-SIGKILL via the result
-store, and the sim-as-a-service HTTP front-end (submit → poll → result →
-metrics scrape).
+end-to-end against a live queue, and resume-after-SIGKILL via the result
+store.
 """
 
 import json
@@ -13,10 +12,7 @@ import pickle
 import signal
 import subprocess
 import sys
-import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -294,149 +290,3 @@ class TestKillResume:
         # ...and the resumed output equals a clean serial run, bit for bit.
         clean = core.run_trials(make_specs(params, seed=21), _slow_trial)
         assert pickle.dumps(resumed) == pickle.dumps(clean)
-
-
-# ---------------------------------------------------------------------------
-# The service front-end
-# ---------------------------------------------------------------------------
-
-def _http(method, url, payload=None, timeout=30.0):
-    data = json.dumps(payload).encode() if payload is not None else None
-    req = urllib.request.Request(url, data=data, method=method,
-                                 headers={"Content-Type": "application/json"})
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return resp.status, resp.read().decode()
-    except urllib.error.HTTPError as err:
-        return err.code, err.read().decode()
-
-
-def _poll_job(base, job_id, timeout_s=60.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        _, body = _http("GET", f"{base}/jobs/{job_id}")
-        state = json.loads(body)["state"]
-        if state in ("done", "failed"):
-            return state
-        time.sleep(0.02)
-    raise TimeoutError(f"job {job_id} still running after {timeout_s}s")
-
-
-class TestService:
-    def test_submit_poll_result_and_metrics_scrape(self):
-        from repro.engine.service import start_in_thread
-
-        handle = start_in_thread(max_workers=2)
-        try:
-            base = handle.url
-            code, body = _http("GET", f"{base}/healthz")
-            assert code == 200
-            assert json.loads(body)["status"] == "ok"
-
-            code, body = _http("POST", f"{base}/jobs",
-                               {"kind": "noop", "params": {"n": 6, "seed": 3}})
-            assert code == 202
-            job_id = json.loads(body)["job_id"]
-            assert _poll_job(base, job_id) == "done"
-
-            code, body = _http("GET", f"{base}/jobs/{job_id}/result")
-            assert code == 200
-            result = json.loads(body)["result"]
-            assert result["n"] == 6
-
-            # The job list contains it, newest first.
-            code, body = _http("GET", f"{base}/jobs")
-            assert job_id in [j["job_id"] for j in json.loads(body)["jobs"]]
-
-            # Metrics scrape: Prometheus text with the job latency histogram.
-            code, text = _http("GET", f"{base}/metrics")
-            assert code == 200
-            assert 'repro_service_job_seconds_count{kind="noop"} 1' in text
-            assert 'repro_service_jobs_total{kind="noop",state="done"} 1.0' in text
-            code, body = _http("GET", f"{base}/metrics.json")
-            assert code == 200
-            assert "repro_service_jobs_total" in json.loads(body)
-        finally:
-            handle.stop()
-
-    def test_noop_jobs_are_deterministic_across_submissions(self):
-        from repro.engine.service import start_in_thread
-
-        handle = start_in_thread(max_workers=2)
-        try:
-            means = []
-            for _ in range(2):
-                _, body = _http("POST", f"{handle.url}/jobs",
-                                {"kind": "noop", "params": {"n": 5, "seed": 7}})
-                job_id = json.loads(body)["job_id"]
-                assert _poll_job(handle.url, job_id) == "done"
-                _, body = _http("GET", f"{handle.url}/jobs/{job_id}/result")
-                means.append(json.loads(body)["result"]["mean"])
-            assert means[0] == means[1]
-        finally:
-            handle.stop()
-
-    def test_error_paths(self):
-        from repro.engine.service import start_in_thread
-
-        handle = start_in_thread()
-        try:
-            base = handle.url
-            assert _http("POST", f"{base}/jobs", {"kind": "nope"})[0] == 400
-            assert _http("GET", f"{base}/jobs/missing")[0] == 404
-            assert _http("GET", f"{base}/nope")[0] == 404
-            # A job that fails reports 500 from its result endpoint.
-            _, body = _http("POST", f"{base}/jobs",
-                            {"kind": "net", "params": {"scenario": "no-such"}})
-            job_id = json.loads(body)["job_id"]
-            assert _poll_job(base, job_id) == "failed"
-            code, body = _http("GET", f"{base}/jobs/{job_id}/result")
-            assert code == 500
-            assert json.loads(body)["error"]
-        finally:
-            handle.stop()
-
-    def test_net_job_end_to_end(self):
-        from repro.engine.service import start_in_thread
-
-        handle = start_in_thread(max_workers=2)
-        try:
-            _, body = _http("POST", f"{handle.url}/jobs",
-                            {"kind": "net",
-                             "params": {"scenario": "hidden-node",
-                                        "trials": 1, "seed": 0}})
-            job_id = json.loads(body)["job_id"]
-            assert _poll_job(handle.url, job_id, timeout_s=120.0) == "done"
-            _, body = _http("GET", f"{handle.url}/jobs/{job_id}/result")
-            summary = json.loads(body)["result"]
-            assert summary["scenario"] == "hidden-node"
-            assert summary["aggregate_goodput_mbps"] > 0
-        finally:
-            handle.stop()
-
-
-class TestServeCli:
-    def test_engine_serve_subprocess_answers_healthz(self):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "engine", "serve",
-             "--port", "0"],
-            env=_subprocess_env(), cwd=str(REPO),
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-        url_holder = {}
-
-        def _read():
-            line = proc.stdout.readline()
-            if "listening on " in line:
-                url_holder["url"] = line.split("listening on ", 1)[1].strip()
-
-        reader = threading.Thread(target=_read, daemon=True)
-        reader.start()
-        reader.join(timeout=30)
-        try:
-            assert url_holder.get("url"), "service never reported its URL"
-            code, body = _http("GET", f"{url_holder['url']}/healthz")
-            assert code == 200
-            assert json.loads(body)["status"] == "ok"
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)

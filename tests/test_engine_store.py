@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -326,3 +327,41 @@ class TestBatchedSweepReplay:
                                        store=store)
         assert out == engine.run_batched_sweep(PARAMS, _batched_draw, seed=11)
         assert store.hits == 5
+
+
+def _prom_value(path, name):
+    """First sample of ``name`` in a Prometheus text export (0 if absent)."""
+    for line in path.read_text().splitlines():
+        m = re.match(rf"{name}(?:{{[^}}]*}})? ([0-9.e+-]+)", line)
+        if m:
+            return float(m.group(1))
+    return 0.0
+
+
+class TestCliStoreReplay:
+    def test_net_run_cold_misses_then_warm_replays_everything(self, tmp_path):
+        """``repro net run --store``: the warm rerun hits exactly what the
+        cold run missed, recomputes nothing, and exports the same JSON."""
+        from repro.cli import main
+
+        for run in ("cold", "warm"):
+            # A fresh registry per run, as in separate CLI processes.
+            set_registry(MetricsRegistry())
+            assert main([
+                "--quiet", "net", "run", "hidden-node",
+                "--trials", "2", "--seed", "11",
+                "--store", str(tmp_path / "store"),
+                "--metrics-out", str(tmp_path / f"{run}.prom"),
+                "--json", str(tmp_path / f"net-{run}.json"),
+            ]) == 0
+        assert ((tmp_path / "net-cold.json").read_bytes()
+                == (tmp_path / "net-warm.json").read_bytes())
+        cold, warm = tmp_path / "cold.prom", tmp_path / "warm.prom"
+        assert "repro_store_misses_total" in cold.read_text()
+        assert "repro_store_hits_total" in warm.read_text()
+        cold_miss = _prom_value(cold, "repro_store_misses_total")
+        warm_hit = _prom_value(warm, "repro_store_hits_total")
+        warm_miss = _prom_value(warm, "repro_store_misses_total")
+        assert cold_miss > 0, "cold run should miss"
+        assert warm_miss == 0, f"warm run recomputed {warm_miss} trials"
+        assert warm_hit == cold_miss, (warm_hit, cold_miss)

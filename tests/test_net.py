@@ -192,6 +192,18 @@ class TestScenarioSpec:
             self._spec(control="telepathy")
         with pytest.raises(ValueError, match="802.11a"):
             self._spec(data_rate_mbps=11)
+        for prob in (float("nan"), 1.7, -0.1, float("inf")):
+            with pytest.raises(ValueError, match="cos_delivery_prob"):
+                self._spec(cos_delivery_prob=prob)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="max_embed_per_frame"):
+                self._spec(max_embed_per_frame=n)
+            with pytest.raises(ValueError, match="control_octets"):
+                self._spec(control_octets=n)
+        with pytest.raises(ValueError, match="cos_fidelity"):
+            self._spec(cos_fidelity="bogus")
+        for prob in (None, 0.0, 1.0):
+            assert self._spec(cos_delivery_prob=prob).cos_delivery_prob == prob
 
     def test_with_control(self):
         spec = self._spec(control="cos")
