@@ -32,10 +32,10 @@ Commands
     the summary JSON also gains ``ledger``/``profile`` sections).
     Trials go through the deterministic engine: serial and
     ``--workers N`` results are bit-for-bit identical.
-    ``--fidelity table|phy|surrogate`` overrides how CoS message
-    delivery is decided (analytic operating points, live PHY runs, or
-    the prebuilt measured-PHY surrogate table).  ``--controller NAME``
-    attaches a pluggable rate controller (:mod:`repro.ratectl`;
+    ``--fidelity table|surrogate`` overrides how CoS message delivery
+    is decided (analytic operating points, or the prebuilt measured-PHY
+    surrogate table).  ``--controller NAME`` overrides the scenario's
+    rate controller (:mod:`repro.ratectl`, default ``snr-threshold``;
     ``REPRO_CONTROLLER`` is the env fallback, ``net list`` prints the
     set) and ``--error-model sigmoid|surrogate`` switches data-frame
     fates between the analytic sigmoid and the measured-PHY PRR
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the first trial's net event trace as "
                               "JSONL ('-' for stdout; feed to "
                               "'repro obs timeline')")
-    net_run.add_argument("--fidelity", choices=["table", "phy", "surrogate"],
+    net_run.add_argument("--fidelity", choices=["table", "surrogate"],
                          default=None,
                          help="override the scenario's CoS fidelity "
                               "(surrogate = measured-PHY tables, see "
@@ -185,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     net_run.add_argument("--controller", default=None, metavar="NAME",
                          help="rate controller (repro.ratectl), e.g. "
                               "minstrel, samplerate, snr-threshold; default: "
-                              "REPRO_CONTROLLER or the scenario's legacy "
-                              "staircase")
+                              "REPRO_CONTROLLER or the scenario's "
+                              "(snr-threshold unless it names another)")
     net_run.add_argument("--error-model", choices=["sigmoid", "surrogate"],
                          default=None, dest="error_model",
                          help="override how data-frame fates are drawn "
@@ -464,7 +464,7 @@ def _cmd_net_tables(args, log) -> int:
     print(
         f"CoS accuracy: {float(cos.min()):.2f}..{float(cos.max()):.2f} over "
         f"{int(table.cos_grid_db[0])}..{int(table.cos_grid_db[-1])} dB "
-        f"(phy-fidelity semantics: seed {table.spec.cos_seed}, "
+        f"(closed-loop CosLink: seed {table.spec.cos_seed}, "
         f"{table.spec.cos_n_packets} packets)"
     )
     return 0
@@ -626,7 +626,7 @@ def _cmd_net(args) -> int:
     # reject unknown names here so the error names the available set
     # before any sweep starts.
     controller = args.controller
-    if controller is None:
+    if not controller:
         controller = env_str("REPRO_CONTROLLER")
         if controller:
             log.info("using REPRO_CONTROLLER=%s", controller)
@@ -682,9 +682,8 @@ def _cmd_net(args) -> int:
         ],
         title=(
             f"Scenario {summary['scenario']} [{summary['control']} control, "
-            + (f"{summary['controller']} controller, "
-               if summary.get("controller") else "")
-            + f"{summary['n_trials']} trial(s)] — aggregate "
+            f"{summary['controller']} controller, "
+            f"{summary['n_trials']} trial(s)] — aggregate "
             f"{summary['aggregate_goodput_mbps']:.3f} Mbps, fairness "
             f"{summary['fairness']:.3f}, collisions {summary['collisions']:.1f}, "
             f"ctrl airtime {summary['control_airtime_fraction'] * 100:.2f} %"

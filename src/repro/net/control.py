@@ -2,9 +2,9 @@
 
 Every successfully delivered **data** frame triggers one feedback
 message at the receiver: the SINR it measured, owed back to the sender
-so its stair-case rate adaptation (:class:`repro.ratectl.RateAdapter` —
-or whichever :class:`repro.ratectl.RateController` the scenario plugs
-in) can track the link.  The two delivery mechanisms are the heart of the
+so its rate controller (:class:`repro.ratectl.RateController`; by
+default ``snr-threshold``, the paper's stair-case adaptation) can track
+the link.  The two delivery mechanisms are the heart of the
 paper's comparison:
 
 * ``explicit`` — the feedback becomes a real MAC frame (14 octets at the
@@ -14,42 +14,35 @@ paper's comparison:
   frame the feedback owner transmits toward the consumer: **zero
   airtime**, but each embedded message only decodes with the
   SINR-dependent probability of the link-level operating points
-  (:func:`repro.net.sinr.cos_delivery_prob_for`), retrying on the next
-  carrier.  Data frames are the natural carriers on bidirectional
-  flows; for unidirectional flows the receiver's ACKs — OFDM frames
-  too — carry the silences (a modelling extension documented in
-  docs/network.md).
+  (by default :func:`repro.net.sinr.cos_delivery_prob_for`), retrying
+  on the next carrier.  Data frames are the natural carriers on
+  bidirectional flows; for unidirectional flows the receiver's ACKs —
+  OFDM frames too — carry the silences (a modelling extension
+  documented in docs/network.md).
 
-``cos_fidelity="phy"`` replaces the operating-point table with a
-delivery probability *measured* by running the real ``cos.link`` PHY
-stack at the carrier's SINR (cached per integer dB) — expensive, so
-meant for small scenarios.  ``cos_fidelity="surrogate"`` replays those
-same measurements from a prebuilt table
+Where that probability comes from — a fixed override, the
+operating-point table, or the measured-PHY surrogate table
 (:class:`repro.net.sinr.SinrModel` over a
-:class:`repro.phy.surrogate.SurrogateTable`): identical values on the
-table's integer-dB grid, at table-lookup cost — measured fidelity at
-any scenario scale.
+:class:`repro.phy.surrogate.SurrogateTable`) — is chosen once by
+:class:`repro.net.simulator.NetSimulator`; the plane just calls the
+function it is handed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.mac.overhead import BASE_RATE_MBPS
 from repro.net.medium import Transmission
-from repro.net.scenario import COS_FIDELITIES
-from repro.net.sinr import cos_delivery_prob_for
 from repro.obs.metrics import get_registry
-from repro.ratectl import RateAdapter, RateController
+from repro.ratectl import RateController
 
 __all__ = [
     "ControlMessage",
     "ControlPlane",
     "ControlRouter",
-    "measured_cos_delivery_prob",
     "OVERHEAR_FLOOR_DB",
 ]
 
@@ -58,27 +51,6 @@ __all__ = [
 #: the data-communication range).  Matches the bottom of the measured
 #: CoS-accuracy grid (:class:`repro.phy.surrogate.SurrogateSpec`).
 OVERHEAR_FLOOR_DB = -2.0
-
-_PHY_PROB_CACHE: Dict[int, float] = {}
-
-
-def measured_cos_delivery_prob(snr_db: float, seed: int = 0,
-                               n_packets: int = 12) -> float:
-    """Estimate per-message CoS accuracy by running the full PHY link.
-
-    Results are cached per rounded dB (process-local), because a
-    ``CosLink`` session costs real OFDM modulation + Viterbi decoding.
-    """
-    key = int(round(snr_db))
-    if key not in _PHY_PROB_CACHE:
-        from repro.channel import IndoorChannel
-        from repro.cos import CosLink
-
-        channel = IndoorChannel.position("A", snr_db=float(key), seed=seed)
-        stats = CosLink(channel=channel).run(n_packets=n_packets,
-                                             payload=bytes(256))
-        _PHY_PROB_CACHE[key] = float(stats.message_accuracy)
-    return _PHY_PROB_CACHE[key]
 
 
 @dataclass
@@ -102,48 +74,39 @@ class ControlPlane:
         mode: str,
         rng: np.random.Generator,
         collector,
-        adapter: Optional[RateAdapter] = None,
+        controller: RateController,
+        cos_delivery: Callable[[float], float],
         control_octets: int = 14,
         fixed_rate_mbps: Optional[int] = None,
-        cos_delivery_prob: Optional[float] = None,
-        cos_fidelity: str = "table",
         max_embed_per_frame: int = 4,
         lens=None,
-        controller: Optional[RateController] = None,
         overhear: bool = False,
     ) -> None:
         if mode not in ("explicit", "cos"):
             raise ValueError(f"unknown control mode {mode!r}")
-        if cos_fidelity not in COS_FIDELITIES:
-            raise ValueError(f"unknown cos_fidelity {cos_fidelity!r}")
         self.mode = mode
         self.rng = rng
         self.collector = collector
-        self.adapter = adapter or RateAdapter()
+        #: Pluggable rate policy (repro.ratectl), one per plane.
+        self.controller = controller
+        #: Per-message CoS decode probability at the carrier's SINR (dB).
+        self.cos_delivery = cos_delivery
         self.control_octets = control_octets
         self.fixed_rate_mbps = fixed_rate_mbps
-        self.cos_delivery_prob = cos_delivery_prob
-        self.cos_fidelity = cos_fidelity
         self.max_embed_per_frame = max_embed_per_frame
         self.lens = lens  # optional repro.net.lens.NetLens (None = free)
-        #: Pluggable rate policy (repro.ratectl).  ``None`` keeps the
-        #: legacy inline staircase — bit-for-bit the pre-ratectl plane.
-        self.controller = controller
         #: Tag-Spotting extension: attempt silence-level control decode /
         #: feedback on *failed* data receptions above OVERHEAR_FLOOR_DB.
         self.overhear = overhear
 
         self._macs: Dict[str, object] = {}
-        self._rates: Dict[Tuple[str, str], int] = {}
         self._pending: Dict[Tuple[str, str], List[ControlMessage]] = {}
         self._next_id = 0
         self._last_rate: Dict[Tuple[str, str], int] = {}
-        self._rate_counter = None
-        if controller is not None:
-            self._rate_counter = get_registry().counter(
-                "repro_ratectl_rate_selected_total",
-                help="Rate-controller selections, by rate and controller.",
-            )
+        self._rate_counter = get_registry().counter(
+            "repro_ratectl_rate_selected_total",
+            help="Rate-controller selections, by rate and controller.",
+        )
 
     def bind(self, macs: Dict[str, object]) -> None:
         """Late-bound MAC directory (the simulator wires both ways)."""
@@ -157,17 +120,14 @@ class ControlPlane:
                  now: float = 0.0) -> int:
         """Current data rate of flow ``src -> dst`` (Mbps).
 
-        Fixed-rate scenarios pin it; adaptive flows start at the base
-        rate and climb as feedback arrives.  With a pluggable controller
-        attached the decision is delegated per transmission attempt
-        (``retries`` lets samplers walk their retry chains), tallied in
+        Fixed-rate scenarios pin it; otherwise the controller decides
+        per transmission attempt (``retries`` lets samplers walk their
+        retry chains).  Each decision is tallied in
         ``repro_ratectl_rate_selected_total`` and — on changes — traced
-        as ``rate_selected`` lens events.
+        as a ``rate_selected`` lens event.
         """
         if self.fixed_rate_mbps is not None:
             return self.fixed_rate_mbps
-        if self.controller is None:
-            return self._rates.get((src, dst), BASE_RATE_MBPS)
         rate = int(self.controller.select_rate(src, dst, retries=retries))
         self._rate_counter.labels(
             rate=rate, controller=self.controller.name
@@ -181,11 +141,10 @@ class ControlPlane:
     def on_tx_result(self, frame, ok: bool, now: float) -> None:
         """A data TX attempt completed (ACKed, or the ACK timed out).
 
-        The frame-fate feed of the loss-driven controllers; no-op on the
-        legacy (controller-less) plane and for non-data frames.
+        The frame-fate feed of the loss-driven controllers; no-op for
+        non-data frames.
         """
-        if self.controller is None or frame.kind != "data" \
-                or frame.rate_mbps is None:
+        if frame.kind != "data" or frame.rate_mbps is None:
             return
         self.controller.on_tx_result(
             frame.src, frame.dst, frame.rate_mbps, ok,
@@ -226,8 +185,8 @@ class ControlPlane:
                            now: float) -> None:
         """A data frame failed to decode at its destination.
 
-        Nothing happens unless ``overhear`` is enabled (the legacy
-        behaviour, preserved bit-for-bit).  With it on — the
+        Nothing happens unless ``overhear`` is enabled (it is off by
+        default).  With it on — the
         Tag-Spotting regime — the silence-level control channel outlives
         the data payload: embedded CoS messages still decode with the
         carrier-SINR accuracy, and the receiver still generates SINR
@@ -252,7 +211,7 @@ class ControlPlane:
 
     def _generate_feedback(self, src: str, dst: str, sinr_db: float,
                            now: float) -> None:
-        if self.controller is not None and not self.controller.uses_feedback:
+        if not self.controller.uses_feedback:
             return  # loss-driven controller: no control traffic at all
         msg = ControlMessage(
             msg_id=self._next_id, src=src, dst=dst,
@@ -274,16 +233,7 @@ class ControlPlane:
 
     def _decode_embedded(self, frame, carrier_sinr_db: float,
                          now: float) -> None:
-        p = self.cos_delivery_prob
-        if p is None:
-            if self.cos_fidelity == "phy":
-                p = measured_cos_delivery_prob(carrier_sinr_db)
-            elif self.cos_fidelity == "surrogate":
-                from repro.net.sinr import SinrModel
-
-                p = SinrModel.default().cos_delivery_prob(carrier_sinr_db)
-            else:
-                p = cos_delivery_prob_for(carrier_sinr_db)
+        p = self.cos_delivery(carrier_sinr_db)
         pending = self._pending.get((frame.src, frame.dst), [])
         for msg in frame.cos_msgs:
             if msg.delivered_us is not None:
@@ -303,11 +253,7 @@ class ControlPlane:
         # SINR — the SiNE lesson: with a CSMA MAC and hidden nodes, SNR
         # alone would systematically overshoot.  ``(msg.dst, msg.src)``
         # is the *data* flow the feedback is about (consumer -> owner).
-        if self.controller is not None:
-            self.controller.on_feedback(msg.dst, msg.src, msg.sinr_db)
-        else:
-            self._rates[(msg.dst, msg.src)] = \
-                self.adapter.select(msg.sinr_db).mbps
+        self.controller.on_feedback(msg.dst, msg.src, msg.sinr_db)
         self.collector.on_control_delivered(msg, now)
         if self.lens is not None:
             self.lens.on_control_delivered(msg, self.mode, now)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -26,8 +27,8 @@ from repro.ratectl import CONTROLLERS, available_controllers
 ERROR_MODELS = ("sigmoid", "surrogate")
 
 #: How CoS message delivery is decided: the analytic operating-point
-#: table, live PHY runs, or the measured-PHY surrogate table.
-COS_FIDELITIES = ("table", "phy", "surrogate")
+#: table, or the measured-PHY surrogate table.
+COS_FIDELITIES = ("table", "surrogate")
 
 __all__ = [
     "COS_FIDELITIES",
@@ -42,6 +43,14 @@ __all__ = [
 ]
 
 
+def _require_finite(owner: str, **coords: float) -> None:
+    """Reject NaN/±inf positions here, naming the owner and the field."""
+    for field_name, value in coords.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner}: {field_name} must be finite, "
+                             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class NodeSpec:
     """A station (or AP — the MAC does not distinguish) at ``(x, y)`` metres."""
@@ -49,6 +58,9 @@ class NodeSpec:
     name: str
     x: float = 0.0
     y: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(f"node {self.name!r}", x=self.x, y=self.y)
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,11 @@ class MobilitySpec:
     node: str
     waypoints: Tuple[Tuple[float, float, float], ...] = ()
 
+    def __post_init__(self):
+        for i, (_, x, y) in enumerate(self.waypoints):
+            _require_finite(f"mobility for node {self.node!r}",
+                            **{f"waypoints[{i}].x": x, f"waypoints[{i}].y": y})
+
 
 @dataclass(frozen=True)
 class InterfererSpec:
@@ -93,6 +110,9 @@ class InterfererSpec:
     period_us: float = 2000.0
     probability: float = 0.3
     start_us: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(f"interferer {self.name!r}", x=self.x, y=self.y)
 
 
 @dataclass(frozen=True)
@@ -152,7 +172,7 @@ class ScenarioSpec:
     medium_mode: str = "culled"  # "culled" | "dense-exact"
     beacon_interval_us: float = 102_400.0
     roam_hysteresis_db: float = 6.0
-    controller: Optional[str] = None  # None = legacy staircase-in-plane path
+    controller: str = "snr-threshold"  # a repro.ratectl CONTROLLERS name
     error_model: str = "sigmoid"  # "sigmoid" | "surrogate"
     cos_overhear: bool = False  # Tag-Spotting: decode CoS below data SINR
 
@@ -223,7 +243,13 @@ class ScenarioSpec:
                 raise ValueError(f"traffic {t.src}->{t.dst} is a self-loop")
         if self.beacon_interval_us <= 0:
             raise ValueError("beacon_interval_us must be positive")
-        if self.controller is not None and self.controller not in CONTROLLERS:
+        if not isinstance(self.controller, str):
+            raise ValueError(
+                f"controller must name a rate controller, got "
+                f"{self.controller!r} (for the removed controller: null, "
+                f'use "snr-threshold": it makes the same decisions)'
+            )
+        if self.controller not in CONTROLLERS:
             raise ValueError(
                 f"unknown rate controller {self.controller!r}; available: "
                 f"{', '.join(available_controllers())}"
@@ -232,6 +258,11 @@ class ScenarioSpec:
             raise ValueError(
                 f"unknown error_model {self.error_model!r}; available: "
                 f"{', '.join(ERROR_MODELS)}"
+            )
+        if self.cos_fidelity == "phy":
+            raise ValueError(
+                'cos_fidelity "phy" (live PHY runs) was removed; use '
+                '"surrogate", which replays the same measurements'
             )
         if self.cos_fidelity not in COS_FIDELITIES:
             raise ValueError(
@@ -281,7 +312,7 @@ class ScenarioSpec:
         """The same scenario under another CoS fidelity mode."""
         return dataclasses.replace(self, cos_fidelity=cos_fidelity)
 
-    def with_controller(self, controller: Optional[str]) -> "ScenarioSpec":
+    def with_controller(self, controller: str) -> "ScenarioSpec":
         """The same scenario under another rate controller."""
         return dataclasses.replace(self, controller=controller)
 

@@ -33,7 +33,12 @@ from repro.net.scenario import (
     TrafficSpec,
 )
 from repro.net.scheduler import EventScheduler
-from repro.net.sinr import ReceptionModel, SigmoidErrorModel, SinrModel
+from repro.net.sinr import (
+    ReceptionModel,
+    SigmoidErrorModel,
+    SinrModel,
+    cos_delivery_prob_for,
+)
 from repro.net.traffic import arrival_times
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
@@ -124,7 +129,7 @@ class NetResult:
     n_events: int
     n_roams: int = 0
     associations: Optional[Dict[str, str]] = None
-    controller: Optional[str] = None
+    controller: str = "snr-threshold"
     ledger: Optional[Dict] = None
     profile: Optional[Dict] = None
     events: Optional[List[Dict]] = None
@@ -200,8 +205,7 @@ class NetResult:
         if self.associations is not None:
             out["n_roams"] = self.n_roams
             out["associations"] = dict(self.associations)
-        if self.controller is not None:
-            out["controller"] = self.controller
+        out["controller"] = self.controller
         if self.ledger is not None:
             out["ledger"] = self.ledger
         if self.profile is not None:
@@ -302,12 +306,20 @@ class NetSimulator:
             capture_threshold_db=spec.radio.capture_threshold_db,
             error_model=error_model,
         )
+        # CoS message fates: a fixed override, the measured-PHY surrogate
+        # table, or the analytic operating points.
+        if spec.cos_delivery_prob is not None:
+            def cos_delivery(sinr_db: float,
+                             p: float = spec.cos_delivery_prob) -> float:
+                return p
+        elif spec.cos_fidelity == "surrogate":
+            cos_delivery = SinrModel.default().cos_delivery_prob
+        else:
+            cos_delivery = cos_delivery_prob_for
         # A controller class may pin its feedback transport ("cos" /
         # "explicit"); None inherits the scenario's control mode.
-        ctrl_cls = CONTROLLERS.get(spec.controller) if spec.controller else None
-        self.control_mode = spec.control
-        if ctrl_cls is not None and ctrl_cls.transport is not None:
-            self.control_mode = ctrl_cls.transport
+        transport = CONTROLLERS[spec.controller].transport
+        self.control_mode = transport or spec.control
         if lens is not None and lens.profile:
             self.scheduler.profiler = lens.profiler
         self.collector = _Collector([n.name for n in spec.nodes])
@@ -321,21 +333,16 @@ class NetSimulator:
         def _plane() -> ControlPlane:
             # Fresh controller per plane: per-BSS rate state mirrors the
             # per-BSS control planes (flows never span planes).
-            controller = (
-                make_controller(spec.controller, rng=self.rng)
-                if spec.controller else None
-            )
             return ControlPlane(
                 mode=self.control_mode,
                 rng=self.rng,
                 collector=self.collector,
+                controller=make_controller(spec.controller, rng=self.rng),
+                cos_delivery=cos_delivery,
                 control_octets=spec.control_octets,
                 fixed_rate_mbps=spec.data_rate_mbps,
-                cos_delivery_prob=spec.cos_delivery_prob,
-                cos_fidelity=spec.cos_fidelity,
                 max_embed_per_frame=spec.max_embed_per_frame,
                 lens=lens,
-                controller=controller,
                 overhear=spec.cos_overhear,
             )
 

@@ -24,9 +24,9 @@ Decoding is a two-stage decision:
 silence-message delivery probability.  The anchor points are the
 link-level operating points measured by the Fig. 10 harness
 (``LinkStats.message_accuracy``): ~0.97 in the working region, degrading
-toward threshold.  Scenarios may override with a fixed probability or
-(for small scenarios) measure it by running the full ``cos.link`` PHY —
-see :mod:`repro.net.control`.
+toward threshold.  Scenarios may override it with a fixed probability
+or replay measured-PHY accuracy from the surrogate table
+(:meth:`SinrModel.cos_delivery_prob`, ``cos_fidelity="surrogate"``).
 """
 
 from __future__ import annotations
@@ -108,9 +108,10 @@ class SinrModel:
     * :meth:`prr` is drop-in compatible with
       :class:`SigmoidErrorModel.prr` (so a ``ReceptionModel`` can run on
       measured curves instead of the analytic waterfall);
-    * :meth:`cos_delivery_prob` replays the ``cos_fidelity="phy"``
-      measurement at table-lookup cost — identical values on the table's
-      integer-dB grid, clamped outside it.
+    * :meth:`cos_delivery_prob` replays
+      :func:`repro.phy.surrogate.measure_cos_point` at table-lookup
+      cost — identical values on the table's integer-dB grid, clamped
+      outside it.
 
     Construct via :meth:`default` (the committed table, or the
     ``REPRO_SURROGATE_TABLE`` override) or :meth:`from_path`; the

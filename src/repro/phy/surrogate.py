@@ -2,9 +2,9 @@
 
 ``repro.net`` decides frame fates from SINR-keyed curves.  Its default
 :class:`~repro.net.sinr.SigmoidErrorModel` is an *analytic* stand-in;
-``cos_fidelity="phy"`` runs the full OFDM/Viterbi stack per SINR point —
-faithful but far too slow for hundreds of nodes.  This module closes the
-gap: it sweeps the **real** PHY over an SINR × rate grid (through the
+running the full OFDM/Viterbi stack per SINR point would be faithful
+but far too slow for hundreds of nodes.  This module closes the gap: it
+sweeps the **real** PHY over an SINR × rate grid (through the
 batched receive path, via :func:`repro.engine.run_sweep`), fits a
 monotone PRR curve per rate, and serialises the result as a versioned
 JSON table keyed by a hash of the measurement spec.  The network layer
@@ -17,10 +17,10 @@ PHY:
 * PRR points are measured by :func:`measure_prr_point`, a pure function
   of the spec fields — re-measuring any grid node reproduces the stored
   raw value bit-for-bit.
-* The CoS accuracy curve is sampled at integer dB with **exactly** the
-  semantics of :func:`repro.net.control.measured_cos_delivery_prob`
-  (same position, seed, packet count, payload), so on grid nodes the
-  surrogate and ``cos_fidelity="phy"`` agree to the last bit.
+* The CoS accuracy curve is sampled at integer dB by
+  :func:`measure_cos_point` (a closed-loop ``CosLink`` session), so on
+  grid nodes the surrogate and a fresh live-PHY measurement agree to
+  the last bit; off the grid the lookup clamps to the end values.
 
 Build via :func:`build_surrogate_table` or ``repro net tables build``.
 """
@@ -67,9 +67,8 @@ class SurrogateSpec:
 
     The spec is hashed (canonical JSON, sha256) into the table key; two
     tables with equal hashes were measured identically.  ``cos_position``
-    / ``cos_seed`` / ``cos_n_packets`` deliberately mirror the constants
-    of :func:`repro.net.control.measured_cos_delivery_prob` so the
-    default spec's CoS curve is bit-compatible with ``cos_fidelity="phy"``.
+    / ``cos_seed`` / ``cos_n_packets`` are the arguments the CoS curve
+    passes to :func:`measure_cos_point` at every integer dB.
     """
 
     position: str = "A"
@@ -91,7 +90,7 @@ class SurrogateSpec:
         return [self.sinr_min_db + i * self.sinr_step_db for i in range(n + 1)]
 
     def cos_grid_db(self) -> List[int]:
-        """Integer-dB grid — the caching key of the phy fidelity mode."""
+        """Integer-dB grid of the CoS accuracy curve."""
         return list(
             range(int(round(self.sinr_min_db)), int(round(self.sinr_max_db)) + 1)
         )
@@ -172,10 +171,9 @@ def measure_cos_point(
 ) -> float:
     """Closed-loop CoS message accuracy at one integer-dB point.
 
-    This is, line for line, the measurement inside
-    :func:`repro.net.control.measured_cos_delivery_prob` — with the
-    default :class:`SurrogateSpec` the stored curve therefore replays
-    the phy fidelity mode exactly on its own caching grid.
+    A full ``CosLink`` session (OFDM modulation, Viterbi decoding, CoS
+    energy detection) at ``position``; the default table's CoS curve is
+    this function at every grid dB, which the tier-1 suite re-measures.
     """
     from repro.channel import IndoorChannel
     from repro.cos import CosLink
@@ -238,9 +236,8 @@ class SurrogateTable:
     def cos_delivery_prob(self, sinr_db: float) -> float:
         """Per-message CoS accuracy at the carrier's SINR.
 
-        Rounds to integer dB and clamps to the measured range — the same
-        key discretisation ``measured_cos_delivery_prob`` caches by, so
-        inside the grid this *is* the phy fidelity mode's value.
+        Rounds to integer dB and clamps to the measured range, so inside
+        the grid this *is* :func:`measure_cos_point` at that dB.
         """
         key = int(round(float(sinr_db)))
         lo = int(self.cos_grid_db[0])
@@ -339,8 +336,8 @@ def build_surrogate_table(
     PRR points run through :func:`repro.engine.run_sweep` (parallel-safe:
     every point is pure in its params), each probing the channel with the
     batched receive path; seeds average into one raw curve per rate,
-    which PAVA then makes monotone.  The CoS accuracy curve is measured
-    per integer dB with the phy-fidelity semantics.
+    which PAVA then makes monotone.  The CoS accuracy curve is
+    :func:`measure_cos_point` at every integer dB.
     """
     from repro.engine import run_sweep
     from repro.experiments.common import init_phy_worker

@@ -1,11 +1,12 @@
 """Feedback-driven controllers: the SNR-threshold staircase family.
 
-:class:`SnrThresholdController` is the existing
-:class:`~repro.ratectl.staircase.RateAdapter` behind the
-:class:`~repro.ratectl.base.RateController` interface — decision for
-decision identical to the pre-controller control plane (the parity
-``tests/test_ratectl.py`` asserts).  It adapts purely on delivered
-SINR feedback and inherits the scenario's control transport.
+:class:`SnrThresholdController` is the
+:class:`~repro.ratectl.staircase.RateAdapter` staircase behind the
+:class:`~repro.ratectl.base.RateController` interface, and the default
+controller of every scenario (``ScenarioSpec.controller``).  It adapts
+purely on delivered SINR feedback and inherits the scenario's control
+transport; the golden result digests in ``tests/test_ratectl.py`` pin
+its scenario outputs.
 
 :class:`CosFeedbackController` and :class:`ExplicitFeedbackController`
 are the same staircase with the transport *pinned*: they exist so the

@@ -8,6 +8,8 @@ import pytest
 from repro.net import (
     EventScheduler,
     FlowSpec,
+    InterfererSpec,
+    MobilitySpec,
     NodeSpec,
     RadioSpec,
     ReceptionModel,
@@ -202,6 +204,29 @@ class TestScenarioSpec:
                 self._spec(control_octets=n)
         with pytest.raises(ValueError, match="cos_fidelity"):
             self._spec(cos_fidelity="bogus")
+        # Removed values fail loudly and name the replacement.
+        with pytest.raises(ValueError, match='cos_fidelity "phy".*"surrogate"'):
+            self._spec(cos_fidelity="phy")
+        with pytest.raises(ValueError,
+                           match='controller.*got None.*"snr-threshold"'):
+            self._spec(controller=None)
+        data = self._spec().to_dict()
+        data["controller"] = None
+        with pytest.raises(ValueError, match="controller.*got None"):
+            ScenarioSpec.from_dict(data)
+        # Non-finite coordinates: the error names the owner and the field.
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="node 'b': x must be finite"):
+                self._spec(nodes=(NodeSpec("a"), NodeSpec("b", bad, 0.0)))
+            with pytest.raises(ValueError, match="node 'a': y must be finite"):
+                self._spec(nodes=(NodeSpec("a", 0.0, bad), NodeSpec("b")))
+            with pytest.raises(ValueError, match="interferer 'j': x must be"):
+                self._spec(interferers=(InterfererSpec("j", x=bad),))
+            with pytest.raises(
+                ValueError, match=r"mobility for node 'a': waypoints\[1\]\.y"
+            ):
+                self._spec(mobility=(MobilitySpec(
+                    "a", waypoints=((0.0, 0.0, 0.0), (1e3, 5.0, bad))),))
         for prob in (None, 0.0, 1.0):
             assert self._spec(cos_delivery_prob=prob).cos_delivery_prob == prob
 

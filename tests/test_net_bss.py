@@ -173,20 +173,28 @@ def _with_floor(spec, floor_dbm):
                                         interference_floor_dbm=floor_dbm))
 
 
-_EQUIVALENCE_SPECS = {
-    "hidden-node": dict(n_packets=40, duration_us=60_000.0),
-    "contention": dict(n_packets=40, duration_us=60_000.0),
-    "enterprise-grid": dict(n_aps=4, stations_per_ap=6, duration_us=50_000.0),
-}
+_EQUIVALENCE_SPECS = [
+    pytest.param("hidden-node", dict(n_packets=40, duration_us=60_000.0), 11,
+                 id="hidden-node"),
+    pytest.param("contention", dict(n_packets=40, duration_us=60_000.0), 11,
+                 id="contention"),
+    pytest.param("enterprise-grid",
+                 dict(n_aps=4, stations_per_ap=6, duration_us=50_000.0), 11,
+                 id="enterprise-grid"),
+    pytest.param("enterprise-grid",
+                 dict(n_aps=16, stations_per_ap=15, duration_us=20_000.0), 7,
+                 id="enterprise-grid-256"),
+]
 
 
 class TestMediumEquivalence:
-    @pytest.mark.parametrize("scenario", list(_EQUIVALENCE_SPECS))
-    def test_culled_at_inf_floor_is_bit_identical(self, scenario):
-        spec = builtin_scenario(scenario, **_EQUIVALENCE_SPECS[scenario])
+    @pytest.mark.parametrize("scenario,kwargs,seed", _EQUIVALENCE_SPECS)
+    def test_culled_at_inf_floor_is_bit_identical(self, scenario, kwargs,
+                                                  seed):
+        spec = builtin_scenario(scenario, **kwargs)
         spec = _with_floor(spec, float("-inf"))
-        culled = run_scenario(spec.with_medium("culled"), rng=11)
-        dense = run_scenario(spec.with_medium("dense-exact"), rng=11)
+        culled = run_scenario(spec.with_medium("culled"), rng=seed)
+        dense = run_scenario(spec.with_medium("dense-exact"), rng=seed)
         assert json.dumps(culled.to_dict(), sort_keys=True) == \
             json.dumps(dense.to_dict(), sort_keys=True)
 
@@ -209,16 +217,22 @@ class TestMediumEquivalence:
             dense.aggregate_goodput_mbps, rel=0.01)
 
     def test_enterprise_grid_goodput_close_across_modes(self):
-        spec = builtin_scenario("enterprise-grid", n_aps=4,
-                                stations_per_ap=6, duration_us=50_000.0)
-        culled = run_scenario(spec, rng=0)
-        dense = run_scenario(spec.with_medium("dense-exact"), rng=0)
-        assert culled.aggregate_goodput_mbps == pytest.approx(
-            dense.aggregate_goodput_mbps, rel=0.1)
-        # Event counts may drift slightly at a finite floor (sub-floor
-        # power is dropped from carrier sense), but not structurally.
-        assert abs(culled.n_events - dense.n_events) <= \
-            0.01 * dense.n_events + 1
+        # (grid size, seed, event-count slack): 28 nodes, then 256.
+        cases = ((dict(n_aps=4, stations_per_ap=6, duration_us=50_000.0),
+                  0, 1),
+                 (dict(n_aps=16, stations_per_ap=15, duration_us=60_000.0),
+                  7, 0))
+        for kwargs, seed, slack in cases:
+            spec = builtin_scenario("enterprise-grid", **kwargs)
+            culled = run_scenario(spec, rng=seed)
+            dense = run_scenario(spec.with_medium("dense-exact"), rng=seed)
+            assert dense.aggregate_goodput_mbps > 0
+            assert culled.aggregate_goodput_mbps == pytest.approx(
+                dense.aggregate_goodput_mbps, rel=0.1)
+            # Event counts may drift slightly at a finite floor (sub-floor
+            # power is dropped from carrier sense), but not structurally.
+            assert abs(culled.n_events - dense.n_events) <= \
+                0.01 * dense.n_events + slack
 
 
 class _OracleMedium(Medium):
@@ -555,12 +569,18 @@ class TestCli:
         payload = json.loads(out[out.index("{"):])
         assert payload["scenario"].startswith("contention")
 
-    def test_net_run_shipped_scenario_file(self, capsys):
+    def test_net_run_shipped_scenario_file(self, capsys, tmp_path):
         from repro.cli import main
 
-        path = os.path.join(SCENARIO_DIR, "campus_roaming.json")
-        assert main(["--quiet", "net", "run", path]) == 0
+        summaries = {}
+        for fname in ("enterprise_grid.json", "campus_roaming.json"):
+            out = tmp_path / f"{fname}.summary"
+            assert main(["--quiet", "net", "run",
+                         os.path.join(SCENARIO_DIR, fname),
+                         "--json", str(out)]) == 0
+            summaries[fname] = json.loads(out.read_text())
         assert "campus-roaming" in capsys.readouterr().out
+        assert summaries["campus_roaming.json"]["n_roams"] > 0
 
     def test_net_run_reads_repro_workers(self, monkeypatch, capsys):
         from repro.cli import main

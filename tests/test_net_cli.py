@@ -1,11 +1,14 @@
 """Tests for the ``repro net`` CLI subcommand."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.net import ScenarioSpec, builtin_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture()
@@ -57,6 +60,17 @@ class TestNetRun:
     def test_unknown_scenario_errors(self):
         assert main(["net", "run", "no-such-scenario"]) == 2
 
+    def test_removed_values_in_a_scenario_file_exit_cleanly(
+            self, small_scenario_path, capsys):
+        data = json.loads(Path(small_scenario_path).read_text())
+        for field, value, use in (("controller", None, "snr-threshold"),
+                                  ("cos_fidelity", "phy", "surrogate")):
+            with open(small_scenario_path, "w") as fh:
+                json.dump(dict(data, **{field: value}), fh)
+            assert main(["net", "run", small_scenario_path]) == 2
+            err = capsys.readouterr().err
+            assert field in err and f'"{use}"' in err
+
     def test_json_and_metrics_files(self, small_scenario_path, tmp_path):
         summary_path = tmp_path / "summary.json"
         metrics_path = tmp_path / "metrics.json"
@@ -101,22 +115,30 @@ class TestNetRun:
 
     def test_parallel_summary_matches_serial(self, small_scenario_path,
                                              tmp_path):
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        for workers, path in (("0", serial), ("2", parallel)):
-            assert main([
-                "net", "run", small_scenario_path,
-                "--trials", "2", "--seed", "17", "--workers", workers,
-                "--json", str(path),
-            ]) == 0
-        assert json.loads(serial.read_text()) == json.loads(parallel.read_text())
+        # The small fixture, then the shipped demo file at full scale.
+        cases = ((small_scenario_path, "2", "17"),
+                 (str(SCENARIO_DIR / "hidden_node.json"), "4", "11"))
+        for scenario, trials, seed in cases:
+            serial = tmp_path / "serial.json"
+            parallel = tmp_path / "parallel.json"
+            for workers, path in (("0", serial), ("2", parallel)):
+                assert main([
+                    "--quiet", "net", "run", scenario,
+                    "--trials", trials, "--seed", seed, "--workers", workers,
+                    "--json", str(path),
+                ]) == 0
+            summary = json.loads(serial.read_text())
+            assert summary == json.loads(parallel.read_text()), scenario
+            # Both are hidden-node: the hidden station's delivery collapses.
+            near = summary["per_node"]["sta_near"]
+            hidden = summary["per_node"]["sta_hidden"]
+            assert hidden["delivery_ratio"] < near["delivery_ratio"] - 0.1, (
+                scenario, near, hidden)
 
 
 class TestScenarioFileInRepo:
     def test_shipped_example_parses(self):
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parent.parent / "scenarios" / "hidden_node.json"
+        path = SCENARIO_DIR / "hidden_node.json"
         spec = ScenarioSpec.load(str(path))
         assert spec.name == "hidden-node"
         assert {n.name for n in spec.nodes} == {"ap", "sta_near", "sta_hidden"}
@@ -149,6 +171,10 @@ class TestNetTables:
         assert main(["net", "run", small_scenario_path,
                      "--fidelity", "surrogate"]) == 0
         assert "hidden-node" in capsys.readouterr().out
+        # The live-PHY mode is gone: argparse refuses it (exit 2).
+        with pytest.raises(SystemExit) as exc:
+            main(["net", "run", small_scenario_path, "--fidelity", "phy"])
+        assert exc.value.code == 2
 
     def test_build_profile_quick(self, tmp_path, capsys):
         path = tmp_path / "profile_b.json"
@@ -194,6 +220,35 @@ class TestNetCompare:
         assert report["scenario"] == "hidden-node"
         assert set(report["controllers"]) == {"cos-feedback",
                                               "explicit-feedback"}
+
+    def test_full_matrix_on_hidden_node_and_cross_cell(self, tmp_path):
+        """The whole controller matrix at full scale: CoS feedback beats
+        explicit feedback on hidden-node for zero control airtime, and on
+        cross-cell only the silences reach the other BSS."""
+        out = tmp_path / "matrix.json"
+        assert main([
+            "--quiet", "net", "compare",
+            "--scenario", "hidden-node", "--scenario", "cross-cell",
+            "--trials", "3", "--json", str(out),
+        ]) == 0
+        by_name = {r["scenario"]: r for r in json.loads(out.read_text())}
+        assert set(by_name) == {"hidden-node", "cross-cell"}
+
+        hn = by_name["hidden-node"]["controllers"]
+        assert set(hn) == {"snr-threshold", "cos-feedback",
+                           "explicit-feedback", "minstrel", "samplerate"}
+        cos, exp = hn["cos-feedback"], hn["explicit-feedback"]
+        assert cos["goodput_mbps"] >= exp["goodput_mbps"], (cos, exp)
+        assert cos["control_airtime_fraction"] == 0.0, cos
+        assert exp["control_airtime_fraction"] > 0.0, exp
+
+        # Explicit control collapses on cross-cell: its few deliveries
+        # are intra-cell stragglers, never cross-BSS.
+        cc = by_name["cross-cell"]["controllers"]
+        cos_cc = cc["cos-feedback"]["control_delivered"]
+        exp_cc = cc["explicit-feedback"]["control_delivered"]
+        assert cos_cc > 100, cc
+        assert exp_cc < 0.02 * cos_cc, (exp_cc, cos_cc)
 
     def test_compare_unknown_controller_errors(self, small_scenario_path):
         assert main(["net", "compare", "--scenario", small_scenario_path,

@@ -336,12 +336,18 @@ class TestLensCli:
         for row in ledger["per_node"].values():
             assert sum(row["fractions"].values()) == pytest.approx(
                 1.0, abs=1e-9)
+        assert 0.0 < ledger["channel_busy_fraction"] <= 1.0
 
     def test_timeline_roundtrip(self, tmp_path, capsys):
         trace = tmp_path / "net.jsonl"
         assert main(["--quiet", "net", "run", "hidden-node",
                      "--timeline-out", str(trace)]) == 0
         capsys.readouterr()
+        events = list(read_jsonl(str(trace), strict=True))
+        assert events
+        for ev in events:
+            assert ev["type"] == "net" and ev["schema"] == SCHEMA_VERSION, ev
+            assert ev["event"] in NET_EVENT_NAMES, ev
         assert main(["--quiet", "obs", "timeline", str(trace),
                      "--width", "50"]) == 0
         out = capsys.readouterr().out

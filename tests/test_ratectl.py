@@ -1,6 +1,8 @@
 """Tests for the pluggable rate-control subsystem (repro.ratectl)."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -24,6 +26,35 @@ def small_spec(**overrides):
     spec = builtin_scenario("hidden-node", n_packets=30,
                             duration_us=30_000.0)
     return dataclasses.replace(spec, **overrides) if overrides else spec
+
+
+#: sha256 of ``run_scenario(builtin_scenario(name, control=control,
+#: duration_us=50 ms), rng=3).to_dict()`` (``"controller"`` key dropped,
+#: canonical ``json.dumps(sort_keys=True)``), recorded when the control
+#: plane still carried its own in-plane staircase next to
+#: ``snr-threshold``.  The default controller must keep reproducing it.
+GOLDEN_STAIRCASE_DIGESTS = [
+    ("hidden-node", "cos",
+     "be4c2538ee57b484f26cd82892c046b7841b74c8f9446ebee8c391e5f349b057"),
+    ("hidden-node", "explicit",
+     "b8895d6cbe274521fe1a7f207efcca04bc9d9d093d4efe5a88ce3d2a5261af52"),
+    ("contention", "cos",
+     "11d71b5ec8af3ef23c6a0a8b58eefc5de6b3ba478def38bea96b56227472b950"),
+    ("contention", "explicit",
+     "ec1b1eca6b73c2f3a0532bb75f384c6ee3d7a06ca306c9d24a6256ea29205441"),
+    ("enterprise-grid", "cos",
+     "c73362d5ada04ce312e5b0e91437293ec3b389ae555c9310e7c2db684f8c58b8"),
+    ("enterprise-grid", "explicit",
+     "aba9d2e802cbfecfd12347734aa8e2076222aa52646eece28ec5c9ab9348ecaf"),
+    ("campus-roaming", "cos",
+     "8efcc27e72a4fb6d1f3a3e23033ed47ba9225b48e6b4c087efc20d7b4cf040bd"),
+    ("campus-roaming", "explicit",
+     "eeda99eab06f657de065a20e690efe721c1a796c3f0a3b0d36d621a2b588ced6"),
+    ("cross-cell", "cos",
+     "48c5c6dcd470af7a4ce7fceb22ac745c514d46d954d0ce4f6347e696432ddd0c"),
+    ("cross-cell", "explicit",
+     "cd11fc4f37c923ad5199a11c4e5a00c55892cf29de4a6841532b9760753c0c0d"),
+]
 
 
 class TestRegistry:
@@ -69,16 +100,20 @@ class TestSnrThreshold:
         # Per-flow state: the reverse direction is untouched.
         assert ctrl.select_rate("b", "a") == BASE_RATE_MBPS
 
-    def test_scenario_parity_with_legacy_plane(self):
-        """controller="snr-threshold" is decision-for-decision the legacy
-        in-plane staircase: identical results, bit for bit."""
-        spec = small_spec()
-        legacy = run_scenario(spec, rng=7).to_dict()
-        routed = run_scenario(
-            dataclasses.replace(spec, controller="snr-threshold"), rng=7
-        ).to_dict()
-        assert routed.pop("controller") == "snr-threshold"
-        assert routed == legacy
+    @pytest.mark.parametrize(
+        "scenario,control,digest", GOLDEN_STAIRCASE_DIGESTS,
+        ids=[f"{s}-{c}" for s, c, _ in GOLDEN_STAIRCASE_DIGESTS])
+    def test_default_controller_matches_golden_digest(self, scenario,
+                                                      control, digest):
+        """Every built-in, left on its default controller, reproduces the
+        staircase results recorded before the in-plane copy was deleted."""
+        spec = builtin_scenario(scenario, control=control,
+                                duration_us=50_000.0)
+        assert spec.controller == "snr-threshold"
+        result = run_scenario(spec, rng=3).to_dict()
+        assert result.pop("controller") == "snr-threshold"
+        text = json.dumps(result, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestMinstrel:
@@ -209,7 +244,7 @@ class TestScenarioIntegration:
         spec = small_spec(error_model="surrogate")
         result = run_scenario(spec, rng=1)
         assert result.aggregate_goodput_mbps > 0
-        assert "controller" not in result.to_dict()
+        assert result.to_dict()["controller"] == "snr-threshold"
 
     def test_controller_reported_in_result(self):
         spec = small_spec(controller="samplerate")
