@@ -51,13 +51,6 @@ Commands
     summarise the measured-PHY surrogate table that
     ``cos_fidelity="surrogate"`` replays; the active default honours
     the ``REPRO_SURROGATE_TABLE`` environment override.
-``engine worker --queue DIR [--drain] [--lease S] [--max-attempts K]``
-    Serve trial chunks from a filesystem work queue (see
-    :mod:`repro.engine.queue`).  Start any number of these — on this
-    host or on others sharing ``DIR`` — against sweeps submitted by
-    :class:`repro.engine.ShardedExecutor`; leases + heartbeats recover
-    chunks from crashed workers and ``--drain`` exits once the queue is
-    empty.
 ``obs summarize trace.jsonl``
     Analyse a recorded trace offline: per-stage latency percentiles,
     exchange span coverage, the failure-cause breakdown, and — for
@@ -124,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_store_flags(exp)
     exp.add_argument("figures", nargs="*", help="subset, e.g. fig2 fig9 ablations")
     exp.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="trial-engine worker processes (0 = serial; "
+                     help="trial worker processes (0 = serial; "
                           "default: REPRO_WORKERS or serial)")
     exp.add_argument("--payload-octets", type=int, default=None, metavar="B",
                      help="network stage: data payload per frame")
@@ -160,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="independent trials (engine sweep)")
     net_run.add_argument("--seed", type=int, default=0)
     net_run.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="trial-engine worker processes (0 = serial; "
+                         help="trial worker processes (0 = serial; "
                               "default: REPRO_WORKERS or serial)")
     net_run.add_argument("--json", default=None, metavar="PATH",
                          help="write the mean-over-trials summary as JSON "
@@ -208,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="independent trials per cell (default: 3)")
     net_cmp.add_argument("--seed", type=int, default=0)
     net_cmp.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="trial-engine worker processes (0 = serial; "
+                         help="trial worker processes (0 = serial; "
                               "default: REPRO_WORKERS or serial)")
     net_cmp.add_argument("--error-model", choices=["sigmoid", "surrogate"],
                          default="surrogate", dest="error_model",
@@ -237,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "A — the committed default table; B/C write "
                               "profile-suffixed tables next to it)")
     t_build.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="trial-engine worker processes (0 = serial; "
+                         help="trial worker processes (0 = serial; "
                               "default: REPRO_WORKERS or serial)")
     t_inspect = tables_sub.add_parser(
         "inspect", help="summarise a surrogate table"
@@ -280,37 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--stages", nargs="*", default=None,
                         help="subset, e.g. fig2 waterfall")
     report.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="trial-engine worker processes (0 = serial; "
+                        help="trial worker processes (0 = serial; "
                              "default: REPRO_WORKERS or serial)")
     add_store_flags(report)
-
-    eng = sub.add_parser(
-        "engine", help="sweep-fabric utilities (work-queue workers)"
-    )
-    eng_sub = eng.add_subparsers(dest="engine_command", required=True)
-    worker = eng_sub.add_parser(
-        "worker", help="serve trial chunks from a filesystem work queue"
-    )
-    worker.add_argument("--queue", required=True, metavar="DIR",
-                        help="queue root directory (shared with the "
-                             "submitting ShardedExecutor, e.g. over NFS)")
-    worker.add_argument("--name", default=None, metavar="ID",
-                        help="worker id recorded in claims "
-                             "(default: <hostname>-<pid>)")
-    worker.add_argument("--drain", action="store_true",
-                        help="exit once no claimable work remains "
-                             "(default: keep polling for new jobs)")
-    worker.add_argument("--poll", type=float, default=0.2, metavar="S",
-                        help="idle poll interval in seconds (default: 0.2)")
-    worker.add_argument("--lease", type=float, default=30.0, metavar="S",
-                        help="chunk lease in seconds; a claim older than "
-                             "this with no heartbeat is re-claimed "
-                             "(default: 30)")
-    worker.add_argument("--max-attempts", type=int, default=3, metavar="K",
-                        help="poison a chunk after K expired leases "
-                             "(default: 3)")
-    worker.add_argument("--max-seconds", type=float, default=None, metavar="S",
-                        help="exit after S seconds even if work remains")
     return parser
 
 
@@ -767,27 +732,6 @@ def _cmd_link(args) -> int:
     return 0
 
 
-def _cmd_engine(args) -> int:
-    # ``worker`` is the only engine subcommand.
-    from repro.engine.queue import worker_loop
-
-    try:
-        n = worker_loop(
-            args.queue,
-            worker_id=args.name,
-            poll_s=args.poll,
-            lease_s=args.lease,
-            max_attempts=args.max_attempts,
-            drain=args.drain,
-            max_seconds=args.max_seconds,
-        )
-    except KeyboardInterrupt:  # pragma: no cover — interactive stop
-        logging.getLogger("repro.cli").info("worker interrupted")
-        return 130
-    print(f"processed {n} chunk(s)")
-    return 0
-
-
 def _cmd_obs(args) -> int:
     import repro.obs as obs
 
@@ -838,8 +782,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         path = write_report(args.path, stages=args.stages, workers=args.workers)
         print(f"wrote {path}")
         return 0
-    if args.command == "engine":
-        return _cmd_engine(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

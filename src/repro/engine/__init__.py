@@ -30,22 +30,13 @@ Guarantees (see ``docs/engine.md`` for the full contract):
 * **Resumability** — the content-addressed :class:`ResultStore`
   (``store=`` argument, ``REPRO_STORE`` environment flag, or the CLI's
   ``--store``) replays completed trials from disk bit-for-bit so re-runs
-  only execute the delta;
-* **Scale-out** — :class:`ShardedExecutor` routes chunks through a
-  filesystem claim queue (:mod:`repro.engine.queue`) served by local
-  and/or remote ``repro engine worker`` processes.
+  only execute the delta.
 """
 
-from repro.engine.core import (
-    run_batched_sweep,
-    run_batched_trials,
-    run_sweep,
-    run_trials,
-)
+from repro.engine.core import run_sweep, run_trials
 from repro.engine.executors import (
     ProcessExecutor,
     SerialExecutor,
-    ShardedExecutor,
     default_workers,
     make_executor,
     resolve_workers,
@@ -65,11 +56,8 @@ __all__ = [
     "make_specs",
     "run_trials",
     "run_sweep",
-    "run_batched_trials",
-    "run_batched_sweep",
     "SerialExecutor",
     "ProcessExecutor",
-    "ShardedExecutor",
     "make_executor",
     "default_workers",
     "resolve_workers",

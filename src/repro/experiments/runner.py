@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="trial-engine worker processes (0 = serial; "
+        help="trial worker processes (0 = serial; "
              "default: REPRO_WORKERS or serial)",
     )
     net = parser.add_argument_group("network stage")

@@ -207,7 +207,7 @@ def use_backend(name: str):
 def warmup() -> str:
     """Pre-build tables for the active backend; returns its name.
 
-    Called once per trial-engine worker so table construction never
+    Called once per trial worker process so table construction never
     lands inside a measured trial.
     """
     backend = get_backend()

@@ -14,7 +14,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.net.medium import MEDIUM_MODES
 from repro.net.topology import RadioSpec, Topology, Waypoint
@@ -43,12 +43,29 @@ __all__ = [
 ]
 
 
-def _require_finite(owner: str, **coords: float) -> None:
-    """Reject NaN/±inf positions here, naming the owner and the field."""
-    for field_name, value in coords.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{owner}: {field_name} must be finite, "
+def _require(owner: str, need: str, ok: Callable[[float], bool],
+             values: Dict[str, float]) -> None:
+    """Reject a bad number at spec construction, naming owner and field."""
+    for field_name, value in values.items():
+        if not ok(value):
+            raise ValueError(f"{owner}: {field_name} must be {need}, "
                              f"got {value!r}")
+
+
+def _require_finite(owner: str, **values: float) -> None:
+    _require(owner, "finite", math.isfinite, values)
+
+
+def _require_positive(owner: str, **values: float) -> None:
+    # A zero period or gap would reschedule at the same instant forever.
+    _require(owner, "finite and > 0",
+             lambda v: math.isfinite(v) and v > 0, values)
+
+
+def _require_non_negative(owner: str, **values: float) -> None:
+    # Negative times would schedule events before the run starts.
+    _require(owner, "finite and >= 0",
+             lambda v: math.isfinite(v) and v >= 0, values)
 
 
 @dataclass(frozen=True)
@@ -78,6 +95,14 @@ class FlowSpec:
     interval_us: float = 0.0
     start_us: float = 0.0
 
+    def __post_init__(self):
+        owner = f"flow {self.src}->{self.dst}"
+        _require_non_negative(owner, interval_us=self.interval_us,
+                              start_us=self.start_us)
+        if self.n_packets < 0:
+            raise ValueError(f"{owner}: n_packets must be >= 0, "
+                             f"got {self.n_packets!r}")
+
 
 @dataclass(frozen=True)
 class MobilitySpec:
@@ -87,9 +112,10 @@ class MobilitySpec:
     waypoints: Tuple[Tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
-        for i, (_, x, y) in enumerate(self.waypoints):
+        for i, (t_us, x, y) in enumerate(self.waypoints):
             _require_finite(f"mobility for node {self.node!r}",
-                            **{f"waypoints[{i}].x": x, f"waypoints[{i}].y": y})
+                            **{f"waypoints[{i}].t_us": t_us,
+                               f"waypoints[{i}].x": x, f"waypoints[{i}].y": y})
 
 
 @dataclass(frozen=True)
@@ -112,7 +138,15 @@ class InterfererSpec:
     start_us: float = 0.0
 
     def __post_init__(self):
-        _require_finite(f"interferer {self.name!r}", x=self.x, y=self.y)
+        owner = f"interferer {self.name!r}"
+        _require_finite(owner, x=self.x, y=self.y, power_dbm=self.power_dbm)
+        _require_positive(owner, period_us=self.period_us,
+                          burst_us=self.burst_us)
+        _require_non_negative(owner, start_us=self.start_us)
+        # ``not 0 <= p <= 1`` also rejects NaN.
+        if not 0.0 <= self.probability <= 1.0:
+            raise ValueError(f"{owner}: probability must be in [0, 1], "
+                             f"got {self.probability!r}")
 
 
 @dataclass(frozen=True)
@@ -148,6 +182,18 @@ class TrafficSpec:
     stop_us: Optional[float] = None
     burst_on_us: float = 10_000.0
     burst_off_us: float = 40_000.0
+
+    def __post_init__(self):
+        if self.model not in TRAFFIC_MODELS:
+            raise ValueError(f"unknown traffic model {self.model!r}")
+        owner = f"traffic {self.src}->{self.dst}"
+        _require_positive(owner, rate_pps=self.rate_pps)
+        _require_non_negative(owner, start_us=self.start_us)
+        if self.stop_us is not None:
+            _require_finite(owner, stop_us=self.stop_us)
+        if self.model == "onoff":
+            _require_positive(owner, burst_on_us=self.burst_on_us,
+                              burst_off_us=self.burst_off_us)
 
 
 @dataclass(frozen=True)
@@ -226,12 +272,6 @@ class ScenarioSpec:
         for t in self.traffic:
             if t.src not in known:
                 raise ValueError(f"traffic source {t.src!r} is not a node")
-            if t.model not in TRAFFIC_MODELS:
-                raise ValueError(f"unknown traffic model {t.model!r}")
-            if t.rate_pps <= 0:
-                raise ValueError("traffic rate_pps must be positive")
-            if t.model == "onoff" and (t.burst_on_us <= 0 or t.burst_off_us <= 0):
-                raise ValueError("onoff burst durations must be positive")
             if t.dst == "@ap":
                 if not self.bsses:
                     raise ValueError(

@@ -20,6 +20,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["link", "--position", "Q"])
 
+    def test_engine_command_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["engine", "worker", "--queue", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'engine'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_info(self, capsys):

@@ -1,9 +1,10 @@
 """Tests for :mod:`repro.engine.store` — the content-addressed trial cache.
 
 The determinism property under test: a store-cached replay of a sweep is
-bit-for-bit identical to a fresh run, across ``run_sweep`` and
-``run_batched_sweep``, because trial results are pure functions of
-``(trial fn, params, seed)`` and the key hashes exactly those.
+bit-for-bit identical to a fresh run, because trial results are pure
+functions of ``(trial fn, params, seed)`` and the key hashes exactly
+those.  That holds across a SIGKILL too: a resumed sweep replays every
+finished trial and recomputes only the rest.
 """
 
 import dataclasses
@@ -11,6 +12,11 @@ import json
 import os
 import pickle
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +33,8 @@ from repro.engine.store import (
     spec_key,
 )
 from repro.obs.metrics import MetricsRegistry, set_registry
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -53,12 +61,16 @@ def _draw_trial(spec):
     return (spec["x"], float(rng.normal()), rng.integers(0, 1 << 30).item())
 
 
-def _batched_draw(specs):
-    return [_draw_trial(s) for s in specs]
-
-
 def _object_param_trial(spec):
     return spec["x"]
+
+
+def _slow_trial(spec):
+    rng = spec.rng()
+    deadline = time.perf_counter() + 0.2
+    while time.perf_counter() < deadline:
+        pass
+    return float(rng.normal())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -297,38 +309,6 @@ class TestSweepReplay:
         assert len(fingerprints) == 3
 
 
-class TestBatchedSweepReplay:
-    def test_batched_cold_then_warm_is_bit_for_bit(self, tmp_path):
-        fresh = engine.run_batched_sweep(PARAMS, _batched_draw, seed=11)
-        store = ResultStore(tmp_path)
-        cold = engine.run_batched_sweep(PARAMS, _batched_draw, seed=11,
-                                        store=store)
-        warm = engine.run_batched_sweep(PARAMS, _batched_draw, seed=11,
-                                        store=store)
-        assert pickle.dumps(cold) == pickle.dumps(fresh)
-        assert pickle.dumps(warm) == pickle.dumps(fresh)
-        assert store.hits == len(PARAMS)
-
-    def test_batched_and_unbatched_share_no_entries(self, tmp_path):
-        # Different trial callables → different keys, by design: the
-        # batch fn is part of the result's identity.
-        store = ResultStore(tmp_path)
-        engine.run_sweep(PARAMS, _draw_trial, seed=11, store=store)
-        engine.run_batched_sweep(PARAMS, _batched_draw, seed=11, store=store)
-        assert store.hits == 0
-        assert store.writes == 2 * len(PARAMS)
-
-    def test_batched_partial_store_mixes_hits_and_fresh_members(self, tmp_path):
-        store = ResultStore(tmp_path)
-        engine.run_batched_sweep(PARAMS[:5], _batched_draw, seed=11,
-                                 store=store)
-        store.hits = 0
-        out = engine.run_batched_sweep(PARAMS, _batched_draw, seed=11,
-                                       store=store)
-        assert out == engine.run_batched_sweep(PARAMS, _batched_draw, seed=11)
-        assert store.hits == 5
-
-
 def _prom_value(path, name):
     """First sample of ``name`` in a Prometheus text export (0 if absent)."""
     for line in path.read_text().splitlines():
@@ -365,3 +345,68 @@ class TestCliStoreReplay:
         assert cold_miss > 0, "cold run should miss"
         assert warm_miss == 0, f"warm run recomputed {warm_miss} trials"
         assert warm_hit == cold_miss, (warm_hit, cold_miss)
+
+
+# ---------------------------------------------------------------------------
+# Resume after SIGKILL: the store replays everything already finished
+# ---------------------------------------------------------------------------
+
+def _subprocess_env():
+    """The child must be able to import repro *and* this test module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), str(REPO)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    env.pop("REPRO_STORE", None)
+    return env
+
+
+_KILL_SCRIPT = """
+import sys
+from repro.engine import core
+from repro.engine.spec import make_specs
+from repro.engine.store import ResultStore
+from tests.test_engine_store import _slow_trial
+
+store = ResultStore(sys.argv[1])
+params = [{"x": i} for i in range(10)]
+core.run_trials(make_specs(params, seed=21), _slow_trial, store=store)
+"""
+
+
+class TestKillResume:
+    def test_resume_after_kill_recomputes_only_the_delta(self, tmp_path):
+        store_dir = tmp_path / "store"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILL_SCRIPT, str(store_dir)],
+            env=_subprocess_env(), cwd=str(REPO),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        # Wait until some trials have landed in the store, then SIGKILL
+        # mid-sweep.
+        deadline = time.monotonic() + 60.0
+        n_before = 0
+        while time.monotonic() < deadline:
+            n_before = len(list(store_dir.glob("objects/*/*.pkl")))
+            if n_before >= 2:
+                break
+            if proc.poll() is not None:  # pragma: no cover — too fast
+                break
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        n_before = len(list(store_dir.glob("objects/*/*.pkl")))
+        assert 0 < n_before < 10, "kill landed before/after the window"
+
+        params = [{"x": i} for i in range(10)]
+        registry = MetricsRegistry()
+        store = ResultStore(store_dir)
+        resumed = engine.run_trials(make_specs(params, seed=21), _slow_trial,
+                                    store=store, registry=registry)
+        # Zero recomputation of finished trials, by the store counters...
+        assert store.hits == n_before
+        assert store.writes == 10 - n_before
+        assert registry.counter("repro_store_hits_total").value == n_before
+        # ...and the resumed output equals a clean serial run, bit for bit.
+        clean = engine.run_trials(make_specs(params, seed=21), _slow_trial)
+        assert pickle.dumps(resumed) == pickle.dumps(clean)

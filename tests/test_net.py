@@ -16,6 +16,7 @@ from repro.net import (
     ScenarioSpec,
     SigmoidErrorModel,
     Topology,
+    TrafficSpec,
     Waypoint,
     cos_delivery_prob_for,
     sinr_db,
@@ -229,6 +230,53 @@ class TestScenarioSpec:
                     "a", waypoints=((0.0, 0.0, 0.0), (1e3, 5.0, bad))),))
         for prob in (None, 0.0, 1.0):
             assert self._spec(cos_delivery_prob=prob).cos_delivery_prob == prob
+        # Degenerate timing would hang the scheduler, schedule into the
+        # past, or silently generate nothing: each is one case per field.
+        nan, inf = float("nan"), float("inf")
+        bad_fields = [
+            (lambda: InterfererSpec("j", period_us=0.0),
+             "interferer 'j': period_us must be finite and > 0"),
+            (lambda: InterfererSpec("j", period_us=inf), "'j': period_us"),
+            (lambda: InterfererSpec("j", burst_us=-100.0),
+             "interferer 'j': burst_us must be finite and > 0"),
+            (lambda: InterfererSpec("j", burst_us=nan), "'j': burst_us"),
+            (lambda: InterfererSpec("j", start_us=nan),
+             "interferer 'j': start_us must be finite"),
+            (lambda: InterfererSpec("j", start_us=-1.0), "'j': start_us"),
+            (lambda: InterfererSpec("j", power_dbm=inf),
+             "interferer 'j': power_dbm must be finite"),
+            (lambda: InterfererSpec("j", probability=nan),
+             r"interferer 'j': probability must be in \[0, 1\]"),
+            (lambda: InterfererSpec("j", probability=1.5), "'j': probability"),
+            (lambda: TrafficSpec("a", "b", model="cbr", rate_pps=inf),
+             "traffic a->b: rate_pps must be finite and > 0"),
+            (lambda: TrafficSpec("a", "b", rate_pps=nan), "a->b: rate_pps"),
+            (lambda: TrafficSpec("a", "b", rate_pps=0.0), "a->b: rate_pps"),
+            (lambda: TrafficSpec("a", "b", start_us=inf),
+             "traffic a->b: start_us must be finite"),
+            (lambda: TrafficSpec("a", "b", stop_us=nan),
+             "traffic a->b: stop_us must be finite"),
+            (lambda: TrafficSpec("a", "b", model="onoff", burst_off_us=nan),
+             "traffic a->b: burst_off_us must be finite and > 0"),
+            (lambda: FlowSpec("a", "b", interval_us=nan),
+             "flow a->b: interval_us must be finite and >= 0"),
+            (lambda: FlowSpec("a", "b", interval_us=-10.0), "b: interval_us"),
+            (lambda: FlowSpec("a", "b", start_us=-10.0),
+             "flow a->b: start_us must be finite and >= 0"),
+            (lambda: FlowSpec("a", "b", n_packets=-1),
+             "flow a->b: n_packets must be >= 0"),
+            (lambda: MobilitySpec("a", waypoints=((0.0, 0.0, 0.0),
+                                                  (nan, 5.0, 0.0))),
+             r"mobility for node 'a': waypoints\[1\]\.t_us must be finite"),
+        ]
+        for build, match in bad_fields:
+            with pytest.raises(ValueError, match=match):
+                build()
+        # The boundary values stay valid.
+        InterfererSpec("j", start_us=0.0, probability=0.0)
+        InterfererSpec("j", probability=1.0)
+        TrafficSpec("a", "b", stop_us=0.0)
+        FlowSpec("a", "b", n_packets=0, interval_us=0.0, start_us=0.0)
 
     def test_with_control(self):
         spec = self._spec(control="cos")

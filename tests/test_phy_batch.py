@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.channel import IndoorChannel
-from repro.engine import make_specs, run_batched_trials, run_trials
 from repro.kernels.interleave import deinterleave_rx_numpy
 from repro.kernels.oracle import deinterleave_rx_oracle
 from repro.phy import RATE_TABLE, Receiver, Transmitter, build_mpdu
@@ -219,41 +218,6 @@ def test_deinterleave_rx_rejects_partial_blocks():
     with pytest.raises(ValueError):
         deinterleave_rx_numpy(np.zeros(rate.n_cbps + 1), rate.n_cbps,
                               rate.n_bpsc, rate.code_rate)
-
-
-# ---------------------------------------------------------------------------
-# Engine: batched trial runner
-# ---------------------------------------------------------------------------
-
-
-def _trial(spec):
-    return (spec.params["x"], float(spec.rng().random()))
-
-
-def _batch(specs):
-    return [_trial(s) for s in specs]
-
-
-def test_run_batched_trials_matches_run_trials():
-    params = [{"x": x} for x in (1, 1, 1, 2, 2, 1)]  # consecutive groups
-    flat = run_trials(make_specs(params, seed=42), _trial)
-    batched = run_batched_trials(make_specs(params, seed=42), _batch)
-    assert batched == flat  # bit-for-bit, order preserved
-
-
-def test_run_batched_trials_respects_max_batch():
-    seen = []
-
-    def counting_batch(specs):
-        seen.append(len(specs))
-        return [_trial(s) for s in specs]
-
-    params = [{"x": 1}] * 7
-    out = run_batched_trials(
-        make_specs(params, seed=0), counting_batch, max_batch=3
-    )
-    assert len(out) == 7
-    assert seen == [3, 3, 1]
 
 
 # ---------------------------------------------------------------------------
