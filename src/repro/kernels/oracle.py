@@ -24,6 +24,7 @@ __all__ = [
     "deinterleave_rx_oracle",
     "scramble_oracle",
     "demap_hard_oracle",
+    "demap_soft_oracle",
 ]
 
 _NEG_INF = -1e18
@@ -142,3 +143,46 @@ def demap_hard_oracle(
         if has_q_axis:
             out.extend(axis(z.imag))
     return np.array(out, dtype=np.uint8)
+
+
+def demap_soft_oracle(
+    symbols: Sequence[complex],
+    csi: float | Sequence[float],
+    levels: Sequence[float],
+    has_q_axis: bool,
+) -> np.ndarray:
+    """Scalar max-log LLRs per axis (positive ⇒ bit 0), CSI-weighted.
+
+    For each bit, the squared distance to every level is computed and the
+    minimum taken over the levels whose label has that bit 0 (``d0``) and
+    1 (``d1``); the LLR is ``(d1 - d0) * csi``.  ``csi`` is a scalar or
+    one weight per symbol; ``has_q_axis`` as in :func:`demap_hard_oracle`.
+    """
+    levels = [float(v) for v in levels]
+    m = max(1, (len(levels) - 1).bit_length())
+    weights = (
+        [float(csi)] * len(symbols)
+        if np.ndim(csi) == 0
+        else [float(c) for c in csi]
+    )
+
+    def axis(value: float, weight: float) -> List[float]:
+        d2 = []
+        for level in levels:
+            diff = value - level
+            d2.append(diff * diff)
+        llrs = []
+        for bit in range(m):
+            shift = m - 1 - bit
+            d0 = min(d2[i] for i in range(len(levels)) if not (i >> shift) & 1)
+            d1 = min(d2[i] for i in range(len(levels)) if (i >> shift) & 1)
+            llrs.append((d1 - d0) * weight)
+        return llrs
+
+    out: List[float] = []
+    for z, weight in zip(symbols, weights):
+        z = complex(z)
+        out.extend(axis(z.real, weight))
+        if has_q_axis:
+            out.extend(axis(z.imag, weight))
+    return np.array(out, dtype=np.float64)

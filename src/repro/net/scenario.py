@@ -14,10 +14,17 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.net.medium import MEDIUM_MODES
-from repro.net.topology import RadioSpec, Topology, Waypoint
+from repro.net.topology import (
+    RadioSpec,
+    Topology,
+    Waypoint,
+    _require_finite,
+    _require_non_negative,
+    _require_positive,
+)
 from repro.net.traffic import TRAFFIC_MODELS
 from repro.phy.params import RATE_TABLE
 from repro.ratectl import CONTROLLERS, available_controllers
@@ -41,31 +48,6 @@ __all__ = [
     "TrafficSpec",
     "ScenarioSpec",
 ]
-
-
-def _require(owner: str, need: str, ok: Callable[[float], bool],
-             values: Dict[str, float]) -> None:
-    """Reject a bad number at spec construction, naming owner and field."""
-    for field_name, value in values.items():
-        if not ok(value):
-            raise ValueError(f"{owner}: {field_name} must be {need}, "
-                             f"got {value!r}")
-
-
-def _require_finite(owner: str, **values: float) -> None:
-    _require(owner, "finite", math.isfinite, values)
-
-
-def _require_positive(owner: str, **values: float) -> None:
-    # A zero period or gap would reschedule at the same instant forever.
-    _require(owner, "finite and > 0",
-             lambda v: math.isfinite(v) and v > 0, values)
-
-
-def _require_non_negative(owner: str, **values: float) -> None:
-    # Negative times would schedule events before the run starts.
-    _require(owner, "finite and >= 0",
-             lambda v: math.isfinite(v) and v >= 0, values)
 
 
 @dataclass(frozen=True)
@@ -243,8 +225,10 @@ class ScenarioSpec:
             raise ValueError(
                 f"{self.data_rate_mbps} Mbps is not an 802.11a rate"
             )
-        if self.duration_us <= 0:
-            raise ValueError("duration_us must be positive")
+        owner = f"scenario {self.name!r}"
+        _require_positive(owner, duration_us=self.duration_us,
+                          beacon_interval_us=self.beacon_interval_us)
+        _require_finite(owner, roam_hysteresis_db=self.roam_hysteresis_db)
         if self.medium_mode not in MEDIUM_MODES:
             raise ValueError(f"unknown medium_mode {self.medium_mode!r}")
         aps = [b.ap for b in self.bsses]
@@ -281,8 +265,6 @@ class ScenarioSpec:
                 raise ValueError(f"traffic {t.src}->{t.dst} targets unknown node")
             if t.dst == t.src:
                 raise ValueError(f"traffic {t.src}->{t.dst} is a self-loop")
-        if self.beacon_interval_us <= 0:
-            raise ValueError("beacon_interval_us must be positive")
         if not isinstance(self.controller, str):
             raise ValueError(
                 f"controller must name a rate controller, got "

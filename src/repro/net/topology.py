@@ -34,9 +34,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 __all__ = ["RadioSpec", "Waypoint", "GridIndex", "Topology"]
+
+
+def _require(owner: str, need: str, ok: Callable[[float], bool],
+             values: Dict[str, float]) -> None:
+    """Reject a bad number at spec construction, naming owner and field."""
+    for field_name, value in values.items():
+        if not ok(value):
+            raise ValueError(f"{owner}: {field_name} must be {need}, "
+                             f"got {value!r}")
+
+
+def _require_finite(owner: str, **values: float) -> None:
+    _require(owner, "finite", math.isfinite, values)
+
+
+def _require_positive(owner: str, **values: float) -> None:
+    # A zero period or gap would reschedule at the same instant forever;
+    # a zero distance or bandwidth would reach log10(0).
+    _require(owner, "finite and > 0",
+             lambda v: math.isfinite(v) and v > 0, values)
+
+
+def _require_non_negative(owner: str, **values: float) -> None:
+    # Negative times would schedule events before the run starts.
+    _require(owner, "finite and >= 0",
+             lambda v: math.isfinite(v) and v >= 0, values)
 
 
 @dataclass(frozen=True)
@@ -89,14 +115,21 @@ class RadioSpec:
     adjacent_rejection_db: float = 25.0
 
     def __post_init__(self):
-        if self.ref_distance_m <= 0.0:
-            raise ValueError("ref_distance_m must be positive")
-        if self.min_distance_m <= 0.0:
-            raise ValueError("min_distance_m must be positive")
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError("bandwidth_hz must be positive")
-        if self.adjacent_rejection_db < 0.0:
-            raise ValueError("adjacent_rejection_db must be >= 0")
+        owner = "radio"
+        _require_finite(owner, tx_power_dbm=self.tx_power_dbm,
+                        cs_threshold_dbm=self.cs_threshold_dbm,
+                        capture_threshold_db=self.capture_threshold_db,
+                        noise_figure_db=self.noise_figure_db,
+                        path_loss_exponent=self.path_loss_exponent,
+                        ref_loss_db=self.ref_loss_db)
+        _require_positive(owner, bandwidth_hz=self.bandwidth_hz,
+                          ref_distance_m=self.ref_distance_m,
+                          min_distance_m=self.min_distance_m)
+        _require_non_negative(owner,
+                              adjacent_rejection_db=self.adjacent_rejection_db)
+        # -inf is the documented "no culling" floor; NaN or +inf is not.
+        _require(owner, "finite or -inf", lambda v: v < math.inf,
+                 dict(interference_floor_dbm=self.interference_floor_dbm))
 
     @property
     def noise_dbm(self) -> float:

@@ -22,8 +22,7 @@ import numpy as np
 from repro.kernels.demap import (
     axis_hard_bits,
     axis_llrs,
-    build_axis_masks,
-    build_label_bits,
+    build_bit_labels,
 )
 
 __all__ = ["Modulation", "MODULATIONS", "get_modulation"]
@@ -112,18 +111,11 @@ class Modulation:
         return float(np.min(np.diff(levels)))
 
     @cached_property
-    def _axis_bit_masks(self) -> np.ndarray:
-        """``(bits_per_axis, n_levels)`` bool — per-bit "label is 1" masks."""
-        masks = build_axis_masks(self.pam_levels.size, self.bits_per_axis)
-        masks.setflags(write=False)
-        return masks
-
-    @cached_property
-    def _label_bits(self) -> np.ndarray:
-        """``(n_levels, bits_per_axis)`` uint8 — labels unpacked to bits."""
-        bits = build_label_bits(self.pam_levels.size, self.bits_per_axis)
-        bits.setflags(write=False)
-        return bits
+    def _bit_labels(self) -> np.ndarray:
+        """``(bits_per_axis, 2, n_levels // 2)`` — labels with each bit 0 / 1."""
+        labels = build_bit_labels(self.pam_levels.size, self.bits_per_axis)
+        labels.setflags(write=False)
+        return labels
 
     def prewarm(self) -> None:
         """Materialise every cached table (used by kernel warm-up)."""
@@ -132,8 +124,7 @@ class Modulation:
             self.constellation,
             self.min_symbol_energy,
             self.min_distance,
-            self._axis_bit_masks,
-            self._label_bits,
+            self._bit_labels,
         )
 
     # ------------------------------------------------------------------
@@ -168,14 +159,6 @@ class Modulation:
     # Demapping
     # ------------------------------------------------------------------
 
-    def _axis_llrs(self, observed: np.ndarray, csi: np.ndarray) -> np.ndarray:
-        """Max-log LLRs for one PAM axis; shape (n_symbols, bits_per_axis).
-
-        Delegates to the demap kernel over the precomputed level/bit-mask
-        tables — no per-call label/mask rebuild.
-        """
-        return axis_llrs(observed, csi, self.pam_levels, self._axis_bit_masks)
-
     def demap_soft(self, symbols: np.ndarray, csi: np.ndarray | float = 1.0) -> np.ndarray:
         """Per-bit LLRs (positive ⇒ bit 0) for equalised ``symbols``.
 
@@ -186,20 +169,26 @@ class Modulation:
         """
         symbols = np.asarray(symbols, dtype=np.complex128)
         csi_arr = np.broadcast_to(np.asarray(csi, dtype=np.float64), symbols.shape)
-        i_llrs = self._axis_llrs(symbols.real, csi_arr)
-        if self.name == "bpsk":
-            return i_llrs.reshape(-1)
-        q_llrs = self._axis_llrs(symbols.imag, csi_arr)
-        return np.concatenate([i_llrs, q_llrs], axis=1).reshape(-1)
+        # One (n_symbols, bits_per_symbol) block; the I and Q kernels fill
+        # its two column halves.
+        m = self.bits_per_axis
+        out = np.empty((symbols.size, self.bits_per_symbol))
+        axis_llrs(symbols.real, csi_arr, self.pam_levels, self._bit_labels, out[:, :m])
+        if self.name != "bpsk":
+            axis_llrs(
+                symbols.imag, csi_arr, self.pam_levels, self._bit_labels, out[:, m:]
+            )
+        return out.reshape(-1)
 
     def demap_hard(self, symbols: np.ndarray) -> np.ndarray:
         """Nearest-point hard decisions, returned as a bit array."""
         symbols = np.asarray(symbols, dtype=np.complex128)
-        i_bits = axis_hard_bits(symbols.real, self.pam_levels, self._label_bits)
-        if self.name == "bpsk":
-            return i_bits.reshape(-1)
-        q_bits = axis_hard_bits(symbols.imag, self.pam_levels, self._label_bits)
-        return np.concatenate([i_bits, q_bits], axis=1).reshape(-1)
+        m = self.bits_per_axis
+        out = np.empty((symbols.size, self.bits_per_symbol), dtype=np.uint8)
+        axis_hard_bits(symbols.real, self.pam_levels, out[:, :m])
+        if self.name != "bpsk":
+            axis_hard_bits(symbols.imag, self.pam_levels, out[:, m:])
+        return out.reshape(-1)
 
 
 MODULATIONS: Dict[str, Modulation] = {

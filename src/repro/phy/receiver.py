@@ -431,6 +431,9 @@ class Receiver:
             eq_g = np.stack(
                 [observations[i].eq_data_grid[:n_symbols] for i in members]
             )
+            # Nearest-point decisions ahead of Viterbi, reported per packet
+            # (and, in hard mode, the decoder's input as well).
+            hard = modulation.demap_hard(eq_g.reshape(-1))
             if self.decision == "soft":
                 csi_rows = np.stack(
                     [
@@ -449,7 +452,6 @@ class Receiver:
                 # SoftWiFi, kept for the decoder-fidelity ablation.
                 from repro.phy.viterbi import hard_bits_to_llrs
 
-                hard = modulation.demap_hard(eq_g.reshape(-1))
                 llrs = hard_bits_to_llrs(hard)
             llrs = llrs.reshape(
                 len(members), n_symbols, N_DATA_SUBCARRIERS,
@@ -465,9 +467,7 @@ class Receiver:
                             f"({n_symbols}, {N_DATA_SUBCARRIERS})"
                         )
                     llrs[row, mask] = 0.0
-            pre_viterbi = modulation.demap_hard(eq_g.reshape(-1)).reshape(
-                len(members), -1
-            )
+            pre_viterbi = hard.reshape(len(members), -1)
             decoded_rows = decode_data_fields(
                 llrs.reshape(len(members), -1), rate, length
             )

@@ -1,5 +1,6 @@
 """Unit tests for the repro.net building blocks (scheduler, topology, SINR)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -277,6 +278,44 @@ class TestScenarioSpec:
         InterfererSpec("j", probability=1.0)
         TrafficSpec("a", "b", stop_us=0.0)
         FlowSpec("a", "b", n_packets=0, interval_us=0.0, start_us=0.0)
+
+    def test_scenario_and_radio_floats_must_be_finite(self):
+        """NaN used to pass ``<= 0`` checks and run (or die mid-run)."""
+        nan, inf = float("nan"), float("inf")
+        for bad in (nan, inf, -inf):
+            for name in ("duration_us", "beacon_interval_us"):
+                with pytest.raises(
+                    ValueError, match=f"scenario 't': {name} must be finite and > 0"
+                ):
+                    self._spec(**{name: bad})
+            with pytest.raises(
+                ValueError, match="scenario 't': roam_hysteresis_db must be finite"
+            ):
+                self._spec(roam_hysteresis_db=bad)
+        for name in ("duration_us", "beacon_interval_us"):
+            with pytest.raises(ValueError, match=f"'t': {name}"):
+                self._spec(**{name: 0.0})
+        floats = [f.name for f in dataclasses.fields(RadioSpec)]
+        assert "tx_power_dbm" in floats and len(floats) == 11
+        for name in floats:
+            for bad in (nan, inf):
+                with pytest.raises(ValueError, match=f"radio: {name} must be"):
+                    RadioSpec(**{name: bad})
+            if name != "interference_floor_dbm":
+                with pytest.raises(ValueError, match=f"radio: {name} must be"):
+                    RadioSpec(**{name: -inf})
+        with pytest.raises(ValueError, match="radio: bandwidth_hz must be"):
+            RadioSpec(bandwidth_hz=0.0)
+        # A non-finite radio is rejected when the scenario is loaded.
+        data = self._spec().to_dict()
+        data["radio"]["tx_power_dbm"] = nan
+        with pytest.raises(ValueError, match="radio: tx_power_dbm must be finite"):
+            ScenarioSpec.from_dict(data)
+        # The boundary values stay valid: -inf disables culling, a zero or
+        # negative hysteresis roams eagerly.
+        RadioSpec(interference_floor_dbm=-inf, adjacent_rejection_db=0.0)
+        self._spec(roam_hysteresis_db=0.0)
+        self._spec(roam_hysteresis_db=-3.0)
 
     def test_with_control(self):
         spec = self._spec(control="cos")
